@@ -1,7 +1,6 @@
 //! Calibration constants for the comparison platforms, each annotated
 //! with its source: the GNNIE paper itself, a public spec sheet, or a fit
 //! chosen so the paper's reported speedup *orderings* hold (marked FIT).
-//! See DESIGN.md §5.
 
 /// Intel Xeon Gold 6132: 14 cores × 2.6 GHz × 32 f32 FLOP/cycle (AVX-512
 /// FMA) ≈ 1.16 TFLOP/s peak. Source: Intel ARK.

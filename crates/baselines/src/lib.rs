@@ -13,9 +13,9 @@
 //!   rebalancing ([`AwbGcnModel`], [`awbgcn`]).
 //!
 //! None of these platforms is available in this offline environment; each
-//! is a calibrated analytical model (see `DESIGN.md` §1 for why this
-//! preserves the evaluation's *shape*). Every constant lives in [`calib`]
-//! with its source next to it.
+//! is a calibrated analytical model that preserves the evaluation's
+//! *shape* (the speedup orderings `tests/baseline_orderings.rs` pins).
+//! Every constant lives in [`calib`] with its source next to it.
 
 pub mod awbgcn;
 pub mod calib;

@@ -42,7 +42,8 @@ impl Ctx {
 
     /// The scale used for `dataset`: the override if present, otherwise
     /// full size for the citation graphs and reduced sizes for the two
-    /// large datasets (trends are scale-stable; see DESIGN.md §4).
+    /// large datasets (trends are scale-stable; see the README's
+    /// "Reproducing the paper's figures").
     pub fn scale_for(&self, dataset: Dataset) -> f64 {
         if let Some(s) = self.scale_override {
             return s;

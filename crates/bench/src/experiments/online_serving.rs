@@ -22,8 +22,8 @@
 
 use gnnie_graph::Dataset;
 use gnnie_serve::{
-    schedule_online, ArrivalProcess, LoadGen, OnlineConfig, OnlineReport, SchedulerPolicy,
-    ServeConfig, Server, SimClock, SlaClass, SlaMix,
+    schedule_online, schedule_static, ArrivalProcess, Daemon, DaemonConfig, LoadGen,
+    OnlineConfig, OnlineReport, SchedulerPolicy, SimClock, SlaClass, SlaMix,
 };
 
 use crate::experiments::serving_throughput::same_model_mix;
@@ -88,13 +88,7 @@ pub struct OnlineServingResult {
 pub fn sweep(ctx: &Ctx) -> OnlineServingResult {
     let profiled = same_model_mix(ctx, PROFILED);
     let clock = SimClock::paper(Dataset::Cora);
-    let server = Server::new(ServeConfig {
-        policy: SchedulerPolicy::ModelAffinity,
-        max_batch: 8,
-        workers: 4,
-        ..ServeConfig::default()
-    });
-    let profiled_costs = server.profile_costs(&profiled);
+    let profiled_costs = Daemon::new(DaemonConfig::default()).profile_costs(&profiled);
 
     // The long trace clones the profiled requests modulo PROFILED; the
     // cost oracle maps each clone to its original's measurement.
@@ -145,9 +139,10 @@ pub fn sweep(ctx: &Ctx) -> OnlineServingResult {
     // Daemon-vs-static: the batch planner's home turf (same-model queue,
     // everything at t = 0, no deadlines). The online scheduler carries
     // weight residency across consecutive batches, so its makespan must
-    // not exceed the planner's pipelined total. The profiled 16-request
-    // queue keeps the planner's side to simulations already paid for.
-    let static_report = server.run(&profiled);
+    // not exceed the planner's pipelined total. Both sides schedule over
+    // the one oracle profiled above.
+    let static_report =
+        schedule_static(&profiled, &profiled_costs, SchedulerPolicy::ModelAffinity, 8);
     let static_trace = LoadGen {
         process: ArrivalProcess::Static,
         sla: SlaMix::Uniform(SlaClass::Batch),

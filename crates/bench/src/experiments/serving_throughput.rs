@@ -22,7 +22,9 @@
 
 use gnnie_gnn::model::GnnModel;
 use gnnie_graph::Dataset;
-use gnnie_serve::{InferenceRequest, SchedulerPolicy, ServeConfig, ServeReport, Server};
+use gnnie_serve::{
+    schedule_static, Daemon, DaemonConfig, InferenceRequest, SchedulerPolicy, ServeReport,
+};
 
 use crate::table::fmt_count;
 use crate::{Ctx, ExperimentResult, Table};
@@ -82,25 +84,19 @@ pub fn interleaved_mix(ctx: &Ctx, n: usize) -> Vec<InferenceRequest> {
         .collect()
 }
 
-/// Runs one configuration.
-pub fn run_config(
-    queue: &[InferenceRequest],
-    policy: SchedulerPolicy,
-    max_batch: usize,
-) -> ServeReport {
-    Server::new(ServeConfig { policy, max_batch, workers: 4, ..ServeConfig::default() })
-        .run(queue)
-}
-
-/// The full sweep: batch sizes × policies on both mixes.
+/// The full sweep: batch sizes × policies on both mixes. Each mix is
+/// simulated once on a serving daemon; every configuration schedules
+/// over that cost oracle.
 pub fn sweep(ctx: &Ctx) -> Vec<SweepRow> {
     let mut rows = Vec::new();
     let same = same_model_mix(ctx, 16);
     let inter = interleaved_mix(ctx, 16);
-    for &(mix, queue) in &[("same-model", &same), ("interleaved", &inter)] {
+    let daemon = Daemon::new(DaemonConfig::default());
+    for (mix, queue) in [("same-model", &same), ("interleaved", &inter)] {
+        let costs = daemon.profile_costs(queue);
         for policy in SchedulerPolicy::ALL {
             for max_batch in [1usize, 2, 4, 8] {
-                let report = run_config(queue, policy, max_batch);
+                let report = schedule_static(queue, &costs, policy, max_batch);
                 rows.push(SweepRow { mix, policy, max_batch, report });
             }
         }
@@ -172,7 +168,8 @@ mod tests {
         // weight-load savings reported explicitly.
         let ctx = Ctx::with_scale(0.1);
         let queue = same_model_mix(&ctx, 8);
-        let report = run_config(&queue, SchedulerPolicy::ModelAffinity, 8);
+        let costs = Daemon::new(DaemonConfig::default()).profile_costs(&queue);
+        let report = schedule_static(&queue, &costs, SchedulerPolicy::ModelAffinity, 8);
         assert_eq!(report.batches.len(), 1);
         assert!(
             report.pipelined_total_cycles < report.serial_total_cycles,
@@ -187,16 +184,19 @@ mod tests {
     fn affinity_beats_fifo_only_on_the_interleaved_mix() {
         let ctx = Ctx::with_scale(0.1);
         let inter = interleaved_mix(&ctx, 8);
-        let fifo = run_config(&inter, SchedulerPolicy::Fifo, 4);
-        let aff = run_config(&inter, SchedulerPolicy::ModelAffinity, 4);
+        let daemon = Daemon::new(DaemonConfig::default());
+        let costs = daemon.profile_costs(&inter);
+        let fifo = schedule_static(&inter, &costs, SchedulerPolicy::Fifo, 4);
+        let aff = schedule_static(&inter, &costs, SchedulerPolicy::ModelAffinity, 4);
         // FIFO sees no two compatible neighbors: nothing amortizes.
         assert_eq!(fifo.weight_load_cycles_saved, 0);
         assert!(aff.weight_load_cycles_saved > 0);
         assert!(aff.pipelined_total_cycles < fifo.pipelined_total_cycles);
         // On the same-model mix the policies coincide.
         let same = same_model_mix(&ctx, 8);
-        let f = run_config(&same, SchedulerPolicy::Fifo, 4);
-        let a = run_config(&same, SchedulerPolicy::ModelAffinity, 4);
+        let costs = daemon.profile_costs(&same);
+        let f = schedule_static(&same, &costs, SchedulerPolicy::Fifo, 4);
+        let a = schedule_static(&same, &costs, SchedulerPolicy::ModelAffinity, 4);
         assert_eq!(f.pipelined_total_cycles, a.pipelined_total_cycles);
     }
 }

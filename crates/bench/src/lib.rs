@@ -69,8 +69,8 @@ pub fn all_experiments() -> Vec<(&'static str, ExperimentFn)> {
         ("fig18", experiments::fig18_optimizations::run),
         ("table4", experiments::table4_throughput::run),
         ("table4_scaling", experiments::table4_scaling::run),
-        // Ablations beyond the paper's figures (design choices DESIGN.md
-        // calls out: attention reordering, exp-LUT sizing, 8-bit weights).
+        // Ablations beyond the paper's figures (design choices such as
+        // attention reordering, exp-LUT sizing, 8-bit weights).
         ("ablation_attention", experiments::ablation_attention::run),
         ("ablation_buffers", experiments::ablation_buffers::run),
         ("ablation_cache_policy", experiments::ablation_cache_policy::run),

@@ -2,7 +2,7 @@
 //!
 //! The paper extracts per-op/per-access energies once from Synopsys DC
 //! (32 nm) and CACTI 6.5, then multiplies by activity counts; we encode
-//! equivalent constants (DESIGN.md §1). HBM energy is the paper's
+//! equivalent constants. HBM energy is the paper's
 //! 3.97 pJ/bit. The constants are calibrated so that the evaluated
 //! configuration lands near the paper's 3.9 W envelope at full activity
 //! (§VIII-D) — see `power_envelope_watts` and its test.

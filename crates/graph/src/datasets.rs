@@ -7,7 +7,7 @@
 //! graphs and Reddit, weak power law for PPI — the paper explicitly notes
 //! PPI's weaker power law explains its smaller caching gains, §VIII-B).
 //! Every GNNIE mechanism consumes only these statistics, so the synthetic
-//! datasets exercise identical code paths. See DESIGN.md §1.
+//! datasets exercise identical code paths.
 
 use serde::{Deserialize, Serialize};
 

@@ -468,39 +468,6 @@ impl MemoryHierarchy {
         Self { levels, home, top, dram_idx }
     }
 
-    /// Builds a hierarchy with **no** pre-staged residency: every
-    /// vertex starts on the backstop (deepest) tier, and the upper
-    /// tiers warm up only through access-driven promotion.
-    ///
-    /// This models the first pass over freshly memory-mapped
-    /// out-of-core data — a v3 snapshot straight off the SSD — where
-    /// nothing has been touched yet, so early reads pay backstop
-    /// latency and bandwidth instead of the warm-start residency
-    /// `new` assumes. It is a standalone what-if capability: the
-    /// default engine path keeps the warm pre-staging so reports stay
-    /// bit-identical across load paths.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tiers` is empty or more than 255 levels deep.
-    pub fn new_cold(
-        tiers: &[TierConfig],
-        clock_hz: f64,
-        num_vertices: u32,
-        line_bytes: u64,
-    ) -> Self {
-        let mut h = Self::new(tiers, clock_hz, num_vertices, line_bytes);
-        let last = h.levels.len() - 1;
-        for lvl in &mut h.levels[..last] {
-            lvl.queue.clear();
-            lvl.occupancy = 0;
-        }
-        for t in &mut h.home {
-            *t = last as u8;
-        }
-        h
-    }
-
     /// Per-tier accounting so far.
     pub fn stats(&self) -> Vec<TierStats> {
         self.levels.iter().map(|l| l.stats.clone()).collect()
@@ -729,47 +696,6 @@ mod tests {
         let sd = VertexMemory::read_seq(&mut h2, 2, bytes);
         assert!(on < dr, "onchip {on} !< dram {dr}");
         assert!(dr < sd, "dram {dr} !< ssd {sd}");
-    }
-
-    #[test]
-    fn cold_start_begins_with_everything_on_the_backstop() {
-        let tiers =
-            [TierConfig::onchip(4 * line()), TierConfig::dram(2 * line()), TierConfig::ssd(0)];
-        let h = MemoryHierarchy::new_cold(&tiers, 1.3e9, 16, line());
-        for v in 0..16u32 {
-            assert_eq!(h.home_of(v), 2, "vertex {v} must start on the ssd backstop");
-        }
-        let s = h.stats();
-        assert_eq!(s[0].hits + s[0].misses, 0);
-        assert_eq!(s[1].hits + s[1].misses, 0);
-    }
-
-    #[test]
-    fn cold_start_pays_backstop_misses_then_warms_up() {
-        let tiers =
-            [TierConfig::onchip(8 * line()), TierConfig::dram(8 * line()), TierConfig::ssd(0)];
-        let mut cold = MemoryHierarchy::new_cold(&tiers, 1.3e9, 8, line());
-        let mut warm = MemoryHierarchy::new(&tiers, 1.3e9, 8, line());
-        let mut cold_cycles = 0u64;
-        let mut warm_cycles = 0u64;
-        for v in 0..8u32 {
-            cold_cycles += VertexMemory::read_seq(&mut cold, v, line());
-            warm_cycles += VertexMemory::read_seq(&mut warm, v, line());
-        }
-        // First pass: every cold read is an ssd hit + promotion, every
-        // warm read an on-chip hit (all 8 vertices pre-stage there).
-        assert!(cold_cycles > warm_cycles, "cold {cold_cycles} !> warm {warm_cycles}");
-        let cs = cold.stats();
-        assert_eq!(cs[2].hits, 8, "first touch of every vertex lands on the ssd");
-        assert_eq!(cs[0].misses, 8);
-        // Second pass: promotion has warmed the upper tiers, so the
-        // cold hierarchy now behaves like the warm one.
-        let mut second = 0u64;
-        for v in 0..8u32 {
-            second += VertexMemory::read_seq(&mut cold, v, line());
-        }
-        assert_eq!(second, warm_cycles, "after one pass the cold hierarchy is warm");
-        assert_eq!(cold.stats()[2].hits, 8, "no further backstop traffic");
     }
 
     #[test]

@@ -1,18 +1,21 @@
 //! The long-lived serving daemon: a channel-fed worker pool that keeps
-//! one persistent [`SimPool`] alive across requests.
+//! one persistent [`SimPool`] alive across requests. It is the only
+//! code in this crate that runs the engine.
 //!
-//! [`Server`](crate::Server) spawns a fresh scoped pool (and each
-//! `RunSession` its own shard threads) per call — fine for one-shot
-//! evaluation, waste for a service that answers requests all day. The
-//! [`Daemon`] instead spawns its request workers once; each worker
-//! drives sessions through
+//! The daemon spawns its request workers once; each worker drives
+//! sessions through
 //! [`Engine::begin_pooled`](gnnie_core::engine::Engine::begin_pooled)
 //! against one shared persistent [`SimPool`], so the shard threads are
-//! spawned once per daemon, not once per request. Simulated cycle
-//! counts are unaffected (the pool is host-side parallelism only):
-//! [`Daemon::serve_online`] returns bit-identical reports to
-//! [`Server::run_online`](crate::Server::run_online), which the online
-//! test suite asserts.
+//! spawned once per daemon, not once per request. What the workers
+//! produce is the cost oracle, [`Daemon::profile_costs`]: every request
+//! simulated cold and resident, memoized across calls. Both schedulers
+//! are pure arithmetic over it —
+//! [`schedule_static`](crate::schedule_static) for a queue known at
+//! t = 0, and [`schedule_online`] (wrapped by
+//! [`Daemon::serve_online`]) for an arrival trace. Simulated cycle
+//! counts are unaffected by the pool (it is host-side parallelism
+//! only): the oracle equals direct `Engine::run_with` reports, which
+//! the tests assert.
 //!
 //! Shutdown is a graceful drain: dropping the job sender lets every
 //! worker finish its current request and exit; [`Daemon::shutdown`]
@@ -28,7 +31,7 @@ use gnnie_core::report::InferenceReport;
 use gnnie_core::{SimPool, SimThreads};
 
 use crate::clock::SimClock;
-use crate::online::{OnlineConfig, OnlineReport, RequestCost};
+use crate::online::{schedule_online, OnlineConfig, OnlineReport, RequestCost};
 use crate::request::{InferenceRequest, ModelKey, OnlineRequest};
 
 /// Daemon parameters.
@@ -228,41 +231,16 @@ impl Daemon {
 
     /// Replays an online arrival trace on the resident workers: profiles
     /// every request's costs, then runs the continuous-batching
-    /// scheduler. Bit-identical to
-    /// [`Server::run_online`](crate::Server::run_online) on the same
-    /// trace and config.
+    /// scheduler. Observability is derived from the finished report
+    /// ([`OnlineReport::record_obs`]).
     pub fn serve_online(&self, trace: &[OnlineRequest], cfg: &OnlineConfig) -> OnlineReport {
-        self.serve_online_observed(trace, cfg, &gnnie_obs::Obs::off())
-    }
-
-    /// [`serve_online`](Self::serve_online) with an observability bundle:
-    /// batch lifecycles land on the trace, and the metrics registry gains
-    /// the per-SLA-class queue-wait/latency histograms plus the profile
-    /// cache's hit/miss counters — the surface the drain report prints
-    /// from. A disabled bundle records nothing; the report is identical
-    /// either way.
-    pub fn serve_online_observed(
-        &self,
-        trace: &[OnlineRequest],
-        cfg: &OnlineConfig,
-        obs: &gnnie_obs::Obs,
-    ) -> OnlineReport {
         let requests: Vec<InferenceRequest> = trace.iter().map(|r| r.request).collect();
         let costs = self.profile_costs(&requests);
         let clock = trace
             .first()
             .map(|r| SimClock::paper(r.request.dataset))
             .unwrap_or_else(|| SimClock::new(1.3e9));
-        let report = crate::online::schedule_online_observed(trace, &costs, cfg, &clock, obs);
-        if obs.metrics.enabled() {
-            let stats = self.profile_cache_stats();
-            // Gauges, not counters: the stats are already lifetime
-            // totals, so re-serving must overwrite rather than re-add.
-            obs.metrics.gauge_set("serve.daemon.profile_cache.hits", stats.hits as f64);
-            obs.metrics.gauge_set("serve.daemon.profile_cache.misses", stats.misses as f64);
-            obs.metrics.gauge_set("serve.daemon.profile_cache.entries", stats.entries as f64);
-        }
-        report
+        schedule_online(trace, &costs, cfg, &clock)
     }
 
     /// Graceful drain: closes the job queue, lets every worker finish
@@ -287,6 +265,20 @@ impl Drop for Daemon {
     }
 }
 
+/// Direct `Engine::run_with` runs of one request, cold and resident,
+/// bypassing the daemon's pool and cache: the reference the daemon and
+/// both schedulers are tested against.
+#[cfg(test)]
+pub(crate) fn engine_reports(request: &InferenceRequest) -> (InferenceReport, InferenceReport) {
+    let ds = request.synthesize();
+    let model = request.model_config();
+    let engine = Engine::new(AcceleratorConfig::paper(request.dataset));
+    let run = |weights_resident: bool| {
+        engine.run_with(&model, &ds, RunOptions { weights_resident, ..RunOptions::default() })
+    };
+    (run(false), run(true))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -308,13 +300,14 @@ mod tests {
         let daemon = Daemon::new(config(2, 2));
         let from_daemon = daemon.profile_costs(&requests);
         daemon.shutdown();
-        let server = crate::Server::new(crate::ServeConfig {
-            workers: 1,
-            sim_threads: SimThreads::Fixed(1),
-            ..crate::ServeConfig::default()
-        });
-        let from_server = server.profile_costs(&requests);
-        assert_eq!(from_daemon, from_server, "resident pool must not change simulated cycles");
+        for request in &requests {
+            let (cold, resident) = engine_reports(request);
+            assert_eq!(
+                from_daemon[&request.id],
+                RequestCost::from_reports(&cold, &resident),
+                "resident pool must not change simulated cycles"
+            );
+        }
     }
 
     #[test]

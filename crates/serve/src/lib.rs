@@ -20,13 +20,18 @@
 //!   Weighting/Aggregation phases: while batch *i* aggregates, batch
 //!   *i+1* weights, and the makespan never loses to back-to-back
 //!   execution;
-//! * **[`server`]** — [`Server`] drives it end to end on a
-//!   `std::thread::scope` worker pool and reports throughput,
+//! * **[`daemon`]** — [`Daemon`]: the one runner. A long-lived
+//!   channel-fed worker pool sharing one persistent
+//!   [`SimPool`](gnnie_core::SimPool) across requests; its
+//!   [`profile_costs`](Daemon::profile_costs) simulates every request
+//!   cold and resident into a memoized cost oracle ([`RequestCost`]),
+//!   and shutdown is a graceful drain;
+//! * **[`server`]** — [`schedule_static`] plans a queue known at t = 0
+//!   and pipelines it over the oracle, reporting throughput,
 //!   p50/p95/p99 simulated latency, and the weight-load cycles batching
 //!   saved versus a serial `Engine::run` loop.
 //!
-//! On top of the static path sits **online serving** — the queue is no
-//! longer known at t = 0:
+//! **Online serving** drops the t = 0 assumption:
 //!
 //! * **[`clock`](mod@clock)** — [`SimClock`]: everything is timestamped in
 //!   accelerator [`Cycle`]s; seconds only at the edges;
@@ -37,30 +42,24 @@
 //!   continuous-batching scheduler: SLA-aware admission control,
 //!   deadline-urgency batch fill, fill-vs-slack waiting, and weight
 //!   residency carried across consecutive same-model batches — all
-//!   exact integer cycle arithmetic over pre-simulated request costs,
-//!   so replays are bit-identical at any thread count;
-//! * **[`daemon`]** — [`Daemon`]: a long-lived channel-fed worker pool
-//!   sharing one persistent
-//!   [`SimPool`](gnnie_core::SimPool) across requests (the
-//!   `gnnie serve --daemon` backend), with graceful drain on shutdown.
+//!   exact integer cycle arithmetic over the same oracle, so replays
+//!   are bit-identical at any thread count. [`Daemon::serve_online`]
+//!   profiles a trace and runs it (the `gnnie serve --arrival` backend).
 //!
 //! # Example
 //!
 //! ```
-//! use gnnie_serve::{InferenceRequest, SchedulerPolicy, ServeConfig, Server};
+//! use gnnie_serve::{schedule_static, Daemon, DaemonConfig, InferenceRequest, SchedulerPolicy};
 //! use gnnie_serve::{GnnModel, Dataset};
 //!
 //! // Four GCN queries over small Cora-like graphs (distinct seeds).
 //! let queue: Vec<_> = (0..4)
 //!     .map(|i| InferenceRequest::new(i, GnnModel::Gcn, Dataset::Cora, 0.05, 40 + i))
 //!     .collect();
-//! let server = Server::new(ServeConfig {
-//!     policy: SchedulerPolicy::ModelAffinity,
-//!     max_batch: 4,
-//!     workers: 2,
-//!     ..ServeConfig::default()
-//! });
-//! let report = server.run(&queue);
+//! let daemon = Daemon::new(DaemonConfig { workers: 2, ..DaemonConfig::default() });
+//! let costs = daemon.profile_costs(&queue);
+//! daemon.shutdown();
+//! let report = schedule_static(&queue, &costs, SchedulerPolicy::ModelAffinity, 4);
 //! // One model-homogeneous batch: three followers reuse the leader's
 //! // resident weights, and the batched schedule never loses to the
 //! // serial Engine::run loop.
@@ -89,15 +88,15 @@ pub use clock::{Cycle, SimClock};
 pub use daemon::{Daemon, DaemonConfig, ProfileCacheStats};
 pub use loadgen::{ArrivalProcess, LoadGen, SlaMix};
 pub use online::{
-    schedule_online, schedule_online_observed, OnlineBatchReport, OnlineConfig, OnlineOutcome,
-    OnlineReport, RejectedRequest, RequestCost,
+    schedule_online, OnlineBatchReport, OnlineConfig, OnlineOutcome, OnlineReport,
+    RejectedRequest, RequestCost,
 };
 pub use pipeline::{pipeline, BatchProfile, PhasePair, PipelineSchedule, PipelineState};
 pub use request::{InferenceRequest, ModelKey, OnlineRequest, QualityTier, SlaClass};
 pub use scheduler::{Batch, BatchPlan, BatchScheduler, SchedulerPolicy};
 pub use server::{
-    percentile_nearest_rank, report_profile, BatchReport, RequestOutcome, ServeConfig,
-    ServeReport, Server,
+    percentile_nearest_rank, report_profile, schedule_static, BatchReport, RequestOutcome,
+    ServeReport,
 };
 
 // Re-exported so downstream callers (CLI, bench) can build requests

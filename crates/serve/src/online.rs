@@ -54,18 +54,26 @@ pub struct RequestCost {
     pub cold: BatchProfile,
     /// Its footprint with the batch's weights already resident.
     pub resident: BatchProfile,
+    /// Weight-load cycles of the cold run: what a follower saves by
+    /// riding in a batch whose weights are resident.
+    pub weight_load_cycles: Cycle,
 }
 
 impl RequestCost {
-    /// A cost from explicit profiles.
-    pub fn new(cold: BatchProfile, resident: BatchProfile) -> Self {
-        RequestCost { cold, resident }
+    /// A cost from explicit profiles and the cold run's weight-load
+    /// cycles.
+    pub fn new(cold: BatchProfile, resident: BatchProfile, weight_load_cycles: Cycle) -> Self {
+        RequestCost { cold, resident, weight_load_cycles }
     }
 
     /// Extracts both profiles from a cold and a resident engine report of
     /// the same request.
     pub fn from_reports(cold: &InferenceReport, resident: &InferenceReport) -> Self {
-        RequestCost { cold: report_profile(cold), resident: report_profile(resident) }
+        RequestCost {
+            cold: report_profile(cold),
+            resident: report_profile(resident),
+            weight_load_cycles: cold.weight_load_cycles,
+        }
     }
 
     /// Isolated service cycles when leading a cold batch.
@@ -372,23 +380,6 @@ impl Pending {
     }
 }
 
-/// [`schedule_online`] with an observability bundle: the report's batch
-/// lifecycles land on `obs.trace` and its per-class queue-wait/latency
-/// histograms in `obs.metrics`. The returned report is byte-identical to
-/// the unobserved call — observability is emitted *from* the finished
-/// report, never woven into the scheduling loop.
-pub fn schedule_online_observed(
-    trace: &[OnlineRequest],
-    costs: &HashMap<u64, RequestCost>,
-    cfg: &OnlineConfig,
-    clock: &SimClock,
-    obs: &gnnie_obs::Obs,
-) -> OnlineReport {
-    let report = schedule_online(trace, costs, cfg, clock);
-    report.record_obs(obs);
-    report
-}
-
 /// Replays `trace` through the continuous-batching scheduler using the
 /// pre-simulated `costs` (keyed by request id) as the service oracle.
 ///
@@ -486,7 +477,10 @@ pub fn schedule_online(
             .take(cfg.max_batch)
             .collect();
         let leader_resident = resident_key == Some(key);
-        let profile = merged_profile(&pending, &members, leader_resident, cost_of);
+        let profile = batch_profile(
+            members.iter().map(|&m| cost_of(pending[m].req.id())),
+            leader_resident,
+        );
 
         // Fill-vs-slack: wait for the next arrival iff the head can
         // afford to (see the module docs).
@@ -548,17 +542,15 @@ pub fn schedule_online(
     }
 }
 
-/// The batch's merged resource footprint: leader cold unless weights
-/// carried over, followers resident.
-fn merged_profile<'a>(
-    pending: &[Pending],
-    members: &[usize],
+/// A batch's merged resource footprint from its members' costs, leader
+/// first: the leader cold unless weights carried over, followers
+/// resident. Shared by the online and the static scheduler.
+pub(crate) fn batch_profile<'a>(
+    members: impl IntoIterator<Item = &'a RequestCost>,
     leader_resident: bool,
-    cost_of: impl Fn(u64) -> &'a RequestCost,
 ) -> BatchProfile {
     let mut profile = BatchProfile::default();
-    for (pos, &m) in members.iter().enumerate() {
-        let cost = cost_of(pending[m].req.id());
+    for (pos, cost) in members.into_iter().enumerate() {
         let part = if pos == 0 && !leader_resident { &cost.cold } else { &cost.resident };
         profile.merge(part);
     }
@@ -585,7 +577,7 @@ mod tests {
             layers: vec![PhasePair { weighting: w, aggregation: 50 }],
             post_cycles: 0,
         };
-        RequestCost::new(layer(100), layer(10))
+        RequestCost::new(layer(100), layer(10), 90)
     }
 
     fn req(id: u64, arrival: Cycle, sla: SlaClass, tier: QualityTier) -> OnlineRequest {

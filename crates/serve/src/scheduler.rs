@@ -91,7 +91,8 @@ impl Batch {
 /// The scheduler's output: batches in execution order.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BatchPlan {
-    /// Batches, in the order the server pipelines them.
+    /// Batches, in the order [`schedule_static`](crate::schedule_static)
+    /// pipelines them.
     pub batches: Vec<Batch>,
 }
 

@@ -10,7 +10,8 @@
 //!   inside its model group;
 //! * on the real engine: the same seed + arrival config produces a
 //!   bit-identical `OnlineReport` at any `sim_threads`/worker setting,
-//!   the daemon reproduces the scoped server exactly, and on a static
+//!   the daemon reproduces a schedule over direct `Engine::run_with`
+//!   costs exactly, and on a static
 //!   (all-at-t=0) trace the daemon's online schedule never loses to the
 //!   static batch planner on the same mix.
 
@@ -18,11 +19,13 @@ use std::collections::HashMap;
 
 use proptest::prelude::*;
 
+use gnnie_core::config::AcceleratorConfig;
+use gnnie_core::engine::{Engine, RunOptions};
 use gnnie_core::SimThreads;
 use gnnie_serve::{
-    schedule_online, ArrivalProcess, BatchProfile, Daemon, DaemonConfig, Dataset, GnnModel,
-    InferenceRequest, LoadGen, OnlineConfig, OnlineReport, OnlineRequest, PhasePair,
-    QualityTier, RequestCost, SchedulerPolicy, ServeConfig, Server, SimClock, SlaClass, SlaMix,
+    schedule_online, schedule_static, ArrivalProcess, BatchProfile, Daemon, DaemonConfig,
+    Dataset, GnnModel, InferenceRequest, LoadGen, OnlineConfig, OnlineReport, OnlineRequest,
+    PhasePair, QualityTier, RequestCost, SchedulerPolicy, SimClock, SlaClass, SlaMix,
 };
 
 const DATASETS: [Dataset; 2] = [Dataset::Cora, Dataset::Citeseer];
@@ -68,7 +71,11 @@ fn arb_costs(n: usize) -> impl Strategy<Value = Vec<RequestCost>> {
                         layers: vec![PhasePair { weighting: w, aggregation: agg }; layers],
                         post_cycles: 2,
                     };
-                    RequestCost::new(profile(w_cold), profile(w_res))
+                    RequestCost::new(
+                        profile(w_cold),
+                        profile(w_res),
+                        (w_cold - w_res) * layers as u64,
+                    )
                 })
                 .collect()
         })
@@ -253,13 +260,12 @@ fn online_reports_are_bit_identical_across_sim_threads() {
     let reports: Vec<OnlineReport> = [1usize, 2, 4]
         .iter()
         .map(|&threads| {
-            Server::new(ServeConfig {
-                policy: SchedulerPolicy::ModelAffinity,
-                max_batch: 4,
+            let daemon = Daemon::new(DaemonConfig {
                 workers: threads,
                 sim_threads: SimThreads::Fixed(threads),
-            })
-            .run_online(&trace, &cfg)
+                chips: 1,
+            });
+            daemon.serve_online(&trace, &cfg)
         })
         .collect();
     assert!(!reports[0].outcomes.is_empty());
@@ -267,18 +273,30 @@ fn online_reports_are_bit_identical_across_sim_threads() {
     assert_eq!(reports[0], reports[2], "1 vs 4 sim threads diverged");
 }
 
-/// The daemon's persistent pool reproduces the scoped server exactly.
+/// The daemon's persistent pool reproduces, exactly, the schedule over
+/// costs taken from direct `Engine::run_with` reports.
 #[test]
 fn daemon_reproduces_the_scoped_server() {
     let trace = poisson_trace(0xBEE);
     let cfg = OnlineConfig { max_batch: 4, admission_control: true };
-    let scoped = Server::new(ServeConfig {
-        policy: SchedulerPolicy::ModelAffinity,
-        max_batch: 4,
-        workers: 1,
-        sim_threads: SimThreads::Fixed(1),
-    })
-    .run_online(&trace, &cfg);
+    let direct: HashMap<u64, RequestCost> = trace
+        .iter()
+        .map(|r| {
+            let request = r.request;
+            let ds = request.synthesize();
+            let model = request.model_config();
+            let engine = Engine::new(AcceleratorConfig::paper(request.dataset));
+            let run = |weights_resident: bool| {
+                engine.run_with(
+                    &model,
+                    &ds,
+                    RunOptions { weights_resident, ..RunOptions::default() },
+                )
+            };
+            (request.id, RequestCost::from_reports(&run(false), &run(true)))
+        })
+        .collect();
+    let scoped = schedule_online(&trace, &direct, &cfg, &SimClock::paper(Dataset::Cora));
     let daemon =
         Daemon::new(DaemonConfig { workers: 3, sim_threads: SimThreads::Fixed(2), chips: 1 });
     let resident = daemon.serve_online(&trace, &cfg);
@@ -305,16 +323,14 @@ fn daemon_static_trace_never_loses_to_the_static_planner() {
     }
     .generate(&queue, &clock);
 
-    let static_report = Server::new(ServeConfig {
-        policy: SchedulerPolicy::ModelAffinity,
-        max_batch: 2,
-        workers: 4,
-        sim_threads: SimThreads::Fixed(1),
-    })
-    .run(&queue);
-
     let daemon =
         Daemon::new(DaemonConfig { workers: 4, sim_threads: SimThreads::Fixed(1), chips: 1 });
+    let static_report = schedule_static(
+        &queue,
+        &daemon.profile_costs(&queue),
+        SchedulerPolicy::ModelAffinity,
+        2,
+    );
     let online =
         daemon.serve_online(&trace, &OnlineConfig { max_batch: 2, admission_control: true });
     daemon.shutdown();

@@ -10,9 +10,10 @@
 
 use proptest::prelude::*;
 
+use gnnie_core::SimThreads;
 use gnnie_serve::{
-    pipeline, BatchProfile, BatchScheduler, Dataset, GnnModel, InferenceRequest, PhasePair,
-    SchedulerPolicy, ServeConfig, Server,
+    pipeline, schedule_static, BatchProfile, BatchScheduler, Daemon, DaemonConfig, Dataset,
+    GnnModel, InferenceRequest, PhasePair, SchedulerPolicy,
 };
 
 const DATASETS: [Dataset; 3] = [Dataset::Cora, Dataset::Citeseer, Dataset::Pubmed];
@@ -171,13 +172,10 @@ proptest! {
                 InferenceRequest::new(i as u64, GnnModel::ALL[m], DATASETS[d], 0.05, seed)
             })
             .collect();
-        let server = Server::new(ServeConfig {
-            policy: SchedulerPolicy::ALL[policy_idx],
-            max_batch,
-            workers: 4,
-            ..ServeConfig::default()
-        });
-        let report = server.run(&queue);
+        let daemon =
+            Daemon::new(DaemonConfig { workers: 4, sim_threads: SimThreads::Fixed(1), chips: 1 });
+        let costs = daemon.profile_costs(&queue);
+        let report = schedule_static(&queue, &costs, SchedulerPolicy::ALL[policy_idx], max_batch);
         prop_assert_eq!(report.requests.len(), queue.len());
         prop_assert!(report.pipelined_total_cycles <= report.batched_serial_cycles);
         prop_assert!(report.batched_serial_cycles <= report.serial_total_cycles);

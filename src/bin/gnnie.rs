@@ -35,7 +35,7 @@ use gnnie::ingest::{
     Resolved, SourceKind,
 };
 use gnnie::mem::{CachePolicyKind, SimThreads};
-use gnnie::serve::{InferenceRequest, SchedulerPolicy, ServeConfig, Server};
+use gnnie::serve::{InferenceRequest, SchedulerPolicy};
 use gnnie::tensor::DenseMatrix;
 use gnnie::{AcceleratorConfig, Dataset, Engine, GnnModel};
 
@@ -924,7 +924,8 @@ fn parse_arrival(
 
 fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     use gnnie::serve::{
-        ArrivalProcess, Daemon, DaemonConfig, LoadGen, OnlineConfig, SimClock, SlaMix,
+        schedule_static, ArrivalProcess, Daemon, DaemonConfig, LoadGen, OnlineConfig, SimClock,
+        SlaMix,
     };
 
     let n = parse_positive(flags, "requests", 16)?;
@@ -934,14 +935,14 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     let max_batch = parse_positive(flags, "batch", 8)?;
     let policy: SchedulerPolicy =
         flags.get("policy").map_or(Ok(SchedulerPolicy::ModelAffinity), |s| s.parse())?;
-    let workers = parse_positive(flags, "workers", ServeConfig::default().workers)?;
+    let workers = parse_positive(flags, "workers", DaemonConfig::default().workers)?;
     let sim_threads =
         parse_sim_threads(flags)?.unwrap_or_else(gnnie::mem::SimThreads::from_env);
 
     let daemon_mode = flags.contains_key("daemon");
     let process = parse_arrival(flags)?;
     // Online serving = a generated arrival process, or the daemon replay
-    // of a static trace. The plain static path stays the legacy batch
+    // of a static trace. The plain static path is the static batch
     // planner.
     let online = daemon_mode || process != ArrivalProcess::Static;
     let sla: SlaMix = match flags.get("sla") {
@@ -975,6 +976,16 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
         queue.push(InferenceRequest::new(i as u64, model, dataset, scale, seed + i as u64));
     }
 
+    // One runner for every mode: the daemon profiles the requests, and
+    // the static planner or the online scheduler runs over its costs.
+    if daemon_mode {
+        // Provenance goes to stderr so stdout stays byte-identical
+        // between the daemon and one-shot paths (and across
+        // --sim-threads settings).
+        eprintln!("[daemon: {workers} request workers, sim-threads {sim_threads}]");
+    }
+    let daemon = Daemon::new(DaemonConfig { workers, sim_threads, chips: 1 });
+
     if online {
         let clock = SimClock::paper(datasets[0]);
         let trace = LoadGen { process, sla, seed }.generate(&queue, &clock);
@@ -986,15 +997,16 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
             // metrics; they reach stdout only under --metrics.
             obs.metrics = gnnie::obs::Metrics::recording();
         }
-        let report = if daemon_mode {
-            // Provenance goes to stderr so stdout stays byte-identical
-            // between the daemon and scoped paths (and across
-            // --sim-threads settings).
-            eprintln!("[daemon: {workers} request workers, sim-threads {sim_threads}]");
-            let daemon = Daemon::new(DaemonConfig { workers, sim_threads, chips: 1 });
-            let report = daemon.serve_online_observed(&trace, &cfg, &obs);
-            let stats = daemon.profile_cache_stats();
-            daemon.shutdown();
+        let report = daemon.serve_online(&trace, &cfg);
+        report.record_obs(&obs);
+        let stats = daemon.profile_cache_stats();
+        daemon.shutdown();
+        if daemon_mode {
+            // Gauges, not counters: the stats are already lifetime
+            // totals, so re-serving must overwrite rather than re-add.
+            obs.metrics.gauge_set("serve.daemon.profile_cache.hits", stats.hits as f64);
+            obs.metrics.gauge_set("serve.daemon.profile_cache.misses", stats.misses as f64);
+            obs.metrics.gauge_set("serve.daemon.profile_cache.entries", stats.entries as f64);
             eprintln!(
                 "[daemon: drained and joined; profile cache {} hits / {} misses, {} entries]",
                 stats.hits, stats.misses, stats.entries
@@ -1018,15 +1030,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
                     );
                 }
             }
-            report
-        } else {
-            let report = Server::new(ServeConfig { policy, max_batch, workers, sim_threads })
-                .run_online(&trace, &cfg);
-            // The scoped server returns the same OnlineReport; derive the
-            // observability surfaces from it post hoc, like the daemon.
-            report.record_obs(&obs);
-            report
-        };
+        }
 
         println!(
             "online serving {n} requests (arrival {}, sla {sla}, max batch {max_batch})",
@@ -1079,8 +1083,9 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
         return Ok(());
     }
 
-    let server = Server::new(ServeConfig { policy, max_batch, workers, sim_threads });
-    let report = server.run(&queue);
+    let costs = daemon.profile_costs(&queue);
+    daemon.shutdown();
+    let report = schedule_static(&queue, &costs, policy, max_batch);
 
     println!(
         "serving {n} requests (policy {policy}, max batch {max_batch}, {workers} workers)"

@@ -111,7 +111,8 @@ fn unsupported_model_platform_pairs_stay_unsupported() {
 
 #[test]
 fn speedup_trends_are_scale_stable() {
-    // The same orderings at two different scales (DESIGN.md §4 claim).
+    // The same orderings at two different scales (the README's
+    // scale-stability claim under "Reproducing the paper's figures").
     for scale in [0.2, 0.6] {
         let s = shootout(GnnModel::Gcn, Dataset::Citeseer, scale);
         assert!(s.gnnie_s < s.awb_s.unwrap(), "scale {scale}");

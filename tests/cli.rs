@@ -281,6 +281,50 @@ fn serve_reports_batched_throughput_and_weight_savings() {
     assert!(stdout.contains("speedup"), "{stdout}");
 }
 
+/// The static planner's report on a fixed multi-model, multi-dataset mix,
+/// pinned byte for byte: the planner is pure arithmetic over the
+/// daemon's cost oracle, so neither the worker count nor the runner may
+/// move a single cycle.
+#[test]
+fn static_serve_stdout_is_pinned() {
+    const EXPECTED: &str = r"serving 12 requests (policy affinity, max batch 2, 2 workers)
+  mix      GCN,GAT,GraphSAGE over CR,CS
+  batches:
+    #0  GCN       on Cora     x2   W         3490  A         1314  done @         5472  saved        937
+    #1  GAT       on Cora     x2   W         3517  A         2654  done @        11989  saved        937
+    #2  GraphSAGE on Cora     x2   W         3466  A         1337  done @        18862  saved        937
+    #3  GCN       on Citeseer x2   W         6295  A         1457  done @        27069  saved       2411
+    #4  GAT       on Citeseer x2   W         6302  A         3015  done @        36804  saved       2411
+    #5  GraphSAGE on Citeseer x2   W         6361  A         1424  done @        46518  saved       2411
+  throughput     335354.1 inferences/s (simulated @ 1.3 GHz)
+  latency           14.51 us p50          35.78 us p95          35.78 us p99
+  cycles            46518 pipelined          48571 batched-serial          57621 serial loop
+  weights           10044 load cycles saved across 6 resident followers
+  speedup            1.24x vs serial Engine::run loop
+";
+    let out = run_args(&[
+        "serve",
+        "--requests",
+        "12",
+        "--models",
+        "gcn,gat,sage",
+        "--datasets",
+        "cora,citeseer",
+        "--scale",
+        "0.05",
+        "--batch",
+        "2",
+        "--policy",
+        "affinity",
+        "--workers",
+        "2",
+        "--seed",
+        "7",
+    ]);
+    assert!(out.status.success(), "serve failed: {}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(String::from_utf8_lossy(&out.stdout), EXPECTED);
+}
+
 #[test]
 fn serve_rejects_bad_policy_with_a_helpful_error() {
     let out = run_args(&["serve", "--requests", "2", "--policy", "lifo", "--scale", "0.05"]);
@@ -366,8 +410,8 @@ fn serve_daemon_sim_threads_flag_beats_the_env() {
 
 #[test]
 fn serve_online_reports_are_byte_identical_across_backends() {
-    // Same seed + arrival config ⇒ the same serving report, whether the
-    // trace runs on the scoped server or the daemon, at any pool width.
+    // Same seed + arrival config ⇒ the same serving report, with or
+    // without --daemon, at any pool width.
     let base = [
         "serve",
         "--arrival",

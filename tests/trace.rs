@@ -15,8 +15,8 @@ use gnnie::graph::{Dataset, SyntheticDataset};
 use gnnie::mem::{SimThreads, SplitMode, TierSpec};
 use gnnie::obs::{chrome_trace_json, flame_summary, Metrics, Obs, Trace};
 use gnnie::serve::{
-    ArrivalProcess, InferenceRequest, LoadGen, OnlineConfig, SchedulerPolicy, ServeConfig,
-    Server, SimClock, SlaMix,
+    ArrivalProcess, Daemon, DaemonConfig, InferenceRequest, LoadGen, OnlineConfig, SimClock,
+    SlaMix,
 };
 use gnnie::GnnModel;
 use gnnie_bench::trace::validate_chrome_trace;
@@ -45,7 +45,7 @@ fn observed_run(
     (chrome_trace_json(&events), flame_summary(&events), obs.metrics.snapshot().render())
 }
 
-/// One observed online-serving run on the scoped server.
+/// One observed online-serving run on the daemon.
 fn observed_serve(seed: u64, threads: usize) -> (String, String) {
     let queue: Vec<_> = (0u64..6)
         .map(|i| InferenceRequest::new(i, GnnModel::Gcn, Dataset::Cora, 0.05, seed + i))
@@ -58,13 +58,13 @@ fn observed_serve(seed: u64, threads: usize) -> (String, String) {
     }
     .generate(&queue, &clock);
     let obs = Obs { trace: Trace::recording(), metrics: Metrics::recording() };
-    let report = Server::new(ServeConfig {
-        policy: SchedulerPolicy::ModelAffinity,
-        max_batch: 4,
+    let daemon = Daemon::new(DaemonConfig {
         workers: 2,
         sim_threads: SimThreads::Fixed(threads),
-    })
-    .run_online(&arrivals, &OnlineConfig { max_batch: 4, admission_control: true });
+        chips: 1,
+    });
+    let report =
+        daemon.serve_online(&arrivals, &OnlineConfig { max_batch: 4, admission_control: true });
     report.record_obs(&obs);
     (chrome_trace_json(&obs.trace.events()), obs.metrics.snapshot().render())
 }
