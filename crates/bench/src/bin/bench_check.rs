@@ -6,15 +6,16 @@
 //!             [--write-baselines] <BENCH_artifact.json>...
 //! ```
 //!
-//! For each artifact: reduce it to its headline metrics, compare them
-//! against the checked-in baseline, and print the per-metric delta
-//! table. Any metric more than the tolerance below its baseline fails
-//! the run (exit 1). `--write-baselines` instead rewrites the baseline
-//! files from the fresh artifacts — the README's workflow for
-//! intentional trajectory changes.
+//! For each artifact (written by `bench --only <id> --json <path>`):
+//! read its headline block, compare it against the checked-in
+//! `<baseline-dir>/<id>.json`, and print the per-metric delta table. An
+//! artifact without a headline block is an error. Any metric more than
+//! the tolerance below its baseline fails the run (exit 1).
+//! `--write-baselines` instead rewrites the baseline files from the
+//! fresh artifacts — the README's workflow for intentional trajectory
+//! changes.
 
 use gnnie_bench::gate;
-use gnnie_bench::json::Json;
 
 fn main() {
     let mut baseline_dir = String::from("bench/baselines");
@@ -80,9 +81,8 @@ fn check_one(
     single_core: bool,
 ) -> Result<bool, String> {
     let text = std::fs::read_to_string(artifact).map_err(|e| format!("read: {e}"))?;
-    let json = Json::parse(&text).map_err(|e| format!("parse: {e}"))?;
-    let current = gate::headline_metrics(artifact, &json)?;
-    let baseline_path = format!("{baseline_dir}/{}", gate::baseline_file_for(artifact)?);
+    let gate::Artifact { experiment, headline: current } = gate::parse_artifact(&text)?;
+    let baseline_path = format!("{baseline_dir}/{}", gate::baseline_file_for(&experiment)?);
 
     if write_baselines {
         // Wall-clock baselines are frozen once committed: never raised (a
@@ -96,7 +96,7 @@ fn check_one(
             .and_then(|text| gate::parse_baseline(&text).ok())
             .unwrap_or_default();
         for m in &mut to_write {
-            if !gate::is_wall_clock(&m.name) {
+            if !m.wall_clock {
                 continue;
             }
             if let Some(p) = prev.iter().find(|b| b.name == m.name) {
@@ -110,7 +110,8 @@ fn check_one(
                 m.value = p.value;
             }
         }
-        std::fs::write(&baseline_path, gate::render_baseline(artifact, &to_write))
+        let canonical_name = format!("BENCH_{experiment}.json");
+        std::fs::write(&baseline_path, gate::render_baseline(&canonical_name, &to_write))
             .map_err(|e| format!("write {baseline_path}: {e}"))?;
         // Say what the refresh actually changed (old -> new, added,
         // removed, unchanged) instead of rewriting silently.

@@ -15,7 +15,7 @@
 //! Timings are the best of several repetitions (minimum is the right
 //! statistic for cold-cache-free throughput claims on shared CI boxes).
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use gnnie_graph::features::{generate_features, FeatureProfile};
@@ -24,10 +24,10 @@ use gnnie_ingest::build::{build_csr_parallel, build_csr_serial};
 use gnnie_ingest::chunked::build_csr_chunked;
 use gnnie_ingest::export::{export_edge_list, write_binary_csr};
 use gnnie_ingest::parse::{parse_edge_list, read_binary_csr, scan_edge_list};
-use gnnie_ingest::snapshot::{open_snapshot, read_snapshot, write_snapshot};
+use gnnie_ingest::snapshot::{open_snapshot, read_snapshot, write_snapshot, SnapshotLoad};
 use gnnie_ingest::EdgeListFormat;
 
-use crate::{Ctx, ExperimentResult, Table};
+use crate::{Ctx, ExperimentResult, Metric, Table};
 
 /// Full-scale workload: ~40 k vertices / 400 k edges (GNNIE_SCALE
 /// shrinks both linearly; CI runs at 0.1).
@@ -90,12 +90,19 @@ pub struct OutOfCoreRow {
     pub inmem_build_ms: f64,
     /// Bit-for-bit equality of chunked and in-memory results.
     pub bit_identical: bool,
-    /// `.gnniecsr` v3 snapshot load time, ms (best of repeats).
+    /// `.gnniecsr` v3 snapshot load time, ms (best of repeats). On the
+    /// mmap path this maps the file and touches no payload page.
     pub snapshot_load_ms: f64,
+    /// Snapshot load plus one full pass that reads every graph offset,
+    /// neighbor id, feature column and feature value, ms (best of
+    /// repeats).
+    pub snapshot_load_pass_ms: f64,
     /// Re-parse + rebuild time the snapshot replaces, ms.
     pub reparse_ms: f64,
     /// `reparse_ms / snapshot_load_ms`.
     pub load_speedup_vs_reparse: f64,
+    /// `reparse_ms / snapshot_load_pass_ms`.
+    pub load_pass_speedup_vs_reparse: f64,
     /// Whether the snapshot load was zero-copy (mmap).
     pub mmap: bool,
 }
@@ -258,6 +265,8 @@ pub fn outofcore(ctx: &Ctx) -> OutOfCoreRow {
     let (load, snapshot_load_ms) = best_ms(3, || open_snapshot(&snap).expect("open snapshot"));
     assert_eq!(load.dataset.graph, ds.graph, "snapshot must reproduce the graph");
     let mmap = load.mmap;
+    drop(load);
+    let (_, snapshot_load_pass_ms) = best_ms(3, || open_and_pass(&snap));
 
     let (_, reparse_ms) = best_ms(reps, || {
         let parsed = parse_edge_list(&path, format).expect("parse");
@@ -273,23 +282,79 @@ pub fn outofcore(ctx: &Ctx) -> OutOfCoreRow {
         inmem_build_ms,
         bit_identical,
         snapshot_load_ms,
+        snapshot_load_pass_ms,
         reparse_ms,
         load_speedup_vs_reparse: reparse_ms / snapshot_load_ms.max(1e-9),
+        load_pass_speedup_vs_reparse: reparse_ms / snapshot_load_pass_ms.max(1e-9),
         mmap,
     }
+}
+
+/// Opens a snapshot and reads every GOFF, GNBR, FCOL and FVAL element
+/// once, so each mapped page of those sections is actually faulted in.
+fn open_and_pass(path: &Path) -> SnapshotLoad {
+    let load = open_snapshot(path).expect("open snapshot");
+    let (graph, features) = (&load.dataset.graph, &load.dataset.features);
+    let mut sum = 0u64;
+    for &o in graph.offsets() {
+        sum = sum.wrapping_add(o as u64);
+    }
+    for &v in graph.neighbors_flat().iter().chain(features.col_indices()) {
+        sum = sum.wrapping_add(u64::from(v));
+    }
+    for &x in features.values() {
+        sum = sum.wrapping_add(u64::from(x.to_bits()));
+    }
+    std::hint::black_box(sum);
+    load
 }
 
 fn stage_dir() -> PathBuf {
     std::env::temp_dir().join(format!("gnnie-ingest-bench-{}", std::process::id()))
 }
 
-/// Regenerates the ingest-throughput table.
+/// Regenerates the ingest-throughput table and its headline metrics.
 pub fn run(ctx: &Ctx) -> ExperimentResult {
-    render(&sweep(ctx))
+    let sweep = sweep(ctx);
+    render(&sweep).with_headline(headline(&sweep))
 }
 
-/// Renders an already-computed sweep (the bin reuses one sweep for the
-/// table and the JSON artifact).
+/// The gated metrics. The bit-identity flags are deterministic; the
+/// speedups are wall clock (conservative baselines, demotable on
+/// single-core runners). The build-speedup maximum deliberately skips
+/// the `shards = 1` rows — a one-shard build measures the serial path
+/// against itself (~1x by construction), so including it would let a
+/// broken multi-shard path hide behind the trivial row. Of the two
+/// snapshot metrics, `outofcore_load_speedup_vs_reparse` times only the
+/// open (on the mmap path, the `mmap` call), while
+/// `outofcore_load_pass_speedup_vs_reparse` adds one full pass over the
+/// payload.
+///
+/// # Errors
+///
+/// A sweep without multi-shard rows, which has nothing to gate.
+pub fn headline(sweep: &IngestSweep) -> Result<Vec<Metric>, String> {
+    let max_speedup = sweep
+        .rows
+        .iter()
+        .filter(|r| r.shards > 1)
+        .map(|r| r.speedup)
+        .reduce(f64::max)
+        .ok_or("ingest: no multi-shard rows to gate")?;
+    let oc = &sweep.outofcore;
+    Ok(vec![
+        Metric::flag("bit_identical", sweep.rows.iter().all(|r| r.matches_serial)),
+        Metric::wall_clock("max_build_speedup_vs_serial", max_speedup),
+        Metric::flag("outofcore_bit_identical", oc.bit_identical),
+        Metric::wall_clock("outofcore_load_speedup_vs_reparse", oc.load_speedup_vs_reparse),
+        Metric::wall_clock(
+            "outofcore_load_pass_speedup_vs_reparse",
+            oc.load_pass_speedup_vs_reparse,
+        ),
+    ])
+}
+
+/// Renders an already-computed sweep as the printed table.
 pub fn render(sweep: &IngestSweep) -> ExperimentResult {
     let mut t = Table::new(&[
         "format",
@@ -345,6 +410,10 @@ pub fn render(sweep: &IngestSweep) -> ExperimentResult {
         oc.reparse_ms,
         oc.load_speedup_vs_reparse,
     ));
+    lines.push(format!(
+        "             load + one full pass {:>8.2} ms vs {:>8.2} ms re-parse+build ({:.1}x)",
+        oc.snapshot_load_pass_ms, oc.reparse_ms, oc.load_pass_speedup_vs_reparse,
+    ));
     lines.push(String::new());
     lines.push(
         "the sharded counting-sort builder replaces the serial sort-based path \
@@ -353,11 +422,7 @@ pub fn render(sweep: &IngestSweep) -> ExperimentResult {
          checksummed read"
             .to_string(),
     );
-    ExperimentResult {
-        id: "Ingest",
-        title: "Real-graph ingestion throughput (gnnie-ingest)",
-        lines,
-    }
+    ExperimentResult::new("Ingest", "Real-graph ingestion throughput (gnnie-ingest)", lines)
 }
 
 #[cfg(test)]
@@ -393,7 +458,71 @@ mod tests {
         assert!(r.bit_identical, "chunked build diverged from the in-memory path");
         assert!(r.chunk_bytes >= 4_096);
         assert!(r.snapshot_load_ms > 0.0 && r.reparse_ms > 0.0);
+        assert!(r.snapshot_load_pass_ms > 0.0);
         assert!(r.load_speedup_vs_reparse.is_finite());
+        assert!(r.load_pass_speedup_vs_reparse.is_finite());
         assert_eq!(r.mmap, gnnie_ingest::mmap_supported());
+    }
+
+    fn row(shards: usize, speedup: f64) -> IngestRow {
+        IngestRow {
+            format: EdgeListFormat::Whitespace,
+            shards,
+            parse_ms: 1.0,
+            build_ms: 1.0,
+            serial_build_ms: speedup,
+            speedup,
+            matches_serial: true,
+            vertices: 8,
+            input_edges: 16,
+        }
+    }
+
+    fn outofcore_row(bit_identical: bool, load: f64, load_pass: f64) -> OutOfCoreRow {
+        OutOfCoreRow {
+            vertices: 8,
+            input_edges: 16,
+            chunk_bytes: 4_096,
+            chunked_build_ms: 1.0,
+            inmem_build_ms: 1.0,
+            bit_identical,
+            snapshot_load_ms: 1.0,
+            snapshot_load_pass_ms: 1.0,
+            reparse_ms: 1.0,
+            load_speedup_vs_reparse: load,
+            load_pass_speedup_vs_reparse: load_pass,
+            mmap: true,
+        }
+    }
+
+    #[test]
+    fn ingest_metrics_fold_flags_and_speedups() {
+        // The shards=1 row reruns the serial path (~1x by construction)
+        // and must NOT feed the wall-clock maximum.
+        let sweep = IngestSweep {
+            rows: vec![row(1, 2.5), row(4, 0.9), row(8, 2.1)],
+            cache: Vec::new(),
+            outofcore: outofcore_row(true, 12.5, 3.0),
+        };
+        assert_eq!(
+            headline(&sweep).unwrap(),
+            vec![
+                Metric::new("bit_identical", 1.0),
+                Metric::wall_clock("max_build_speedup_vs_serial", 2.1),
+                Metric::new("outofcore_bit_identical", 1.0),
+                Metric::wall_clock("outofcore_load_speedup_vs_reparse", 12.5),
+                Metric::wall_clock("outofcore_load_pass_speedup_vs_reparse", 3.0),
+            ]
+        );
+        // One diverged row clears the flag.
+        let mut broken = sweep.clone();
+        broken.rows[2].matches_serial = false;
+        broken.outofcore.bit_identical = false;
+        let m = headline(&broken).unwrap();
+        assert_eq!(m[0], Metric::new("bit_identical", 0.0));
+        assert_eq!(m[2], Metric::new("outofcore_bit_identical", 0.0));
+        // A sweep with only trivial rows cannot be gated.
+        let trivial = IngestSweep { rows: vec![row(1, 1.0)], ..sweep };
+        assert!(headline(&trivial).is_err());
     }
 }

@@ -27,7 +27,7 @@ use gnnie_serve::{
 };
 
 use crate::experiments::serving_throughput::same_model_mix;
-use crate::{Ctx, ExperimentResult, Table};
+use crate::{Ctx, ExperimentResult, Metric, Table};
 
 /// Arrival rates swept, as multiples of the service rate.
 pub const RATE_FACTORS: [f64; 5] = [0.25, 0.5, 1.0, 2.0, 4.0];
@@ -163,13 +163,31 @@ pub fn sweep(ctx: &Ctx) -> OnlineServingResult {
     }
 }
 
-/// Regenerates the online-serving table.
+/// Regenerates the online-serving table and its headline metrics.
 pub fn run(ctx: &Ctx) -> ExperimentResult {
-    render(&sweep(ctx))
+    let result = sweep(ctx);
+    render(&result).with_headline(headline(&result))
 }
 
-/// Renders an already-computed sweep (the `online_serving` bin reuses
-/// one sweep for both the table and its JSON artifact).
+/// The gated metrics: the sustained request rate under the p99 bound
+/// and the online-vs-static-planner cycle ratio. Both are
+/// simulated-cycle numbers — deterministic run to run — so the
+/// baselines stay tight.
+///
+/// # Errors
+///
+/// An empty rate sweep, which has nothing to gate.
+pub fn headline(result: &OnlineServingResult) -> Result<Vec<Metric>, String> {
+    if result.rows.is_empty() {
+        return Err("online: empty sweep".into());
+    }
+    Ok(vec![
+        Metric::new("sustained_rps_at_p99", result.sustained_rps_at_p99),
+        Metric::new("daemon_vs_static_cycle_ratio", result.daemon_vs_static_cycle_ratio),
+    ])
+}
+
+/// Renders an already-computed sweep as the printed table.
 pub fn render(result: &OnlineServingResult) -> ExperimentResult {
     let mut t = Table::new(&[
         "rate x",
@@ -211,11 +229,11 @@ pub fn render(result: &OnlineServingResult) -> ExperimentResult {
         result.static_pipelined_cycles,
         result.daemon_vs_static_cycle_ratio,
     ));
-    ExperimentResult {
-        id: "Online",
-        title: "Online serving: sustained rate at a p99 bound (gnnie-serve)",
+    ExperimentResult::new(
+        "Online",
+        "Online serving: sustained rate at a p99 bound (gnnie-serve)",
         lines,
-    }
+    )
 }
 
 #[cfg(test)]
@@ -259,5 +277,39 @@ mod tests {
             result.online_makespan_cycles,
             result.static_pipelined_cycles
         );
+    }
+
+    #[test]
+    fn online_metrics_read_the_headline_fields() {
+        let report = OnlineReport {
+            outcomes: Vec::new(),
+            rejected: Vec::new(),
+            batches: Vec::new(),
+            makespan_cycles: 0,
+            clock_hz: 1e9,
+            max_batch: 8,
+            admission_control: true,
+        };
+        let mut result = OnlineServingResult {
+            rows: vec![RateRow { factor: 0.25, rate_rps: 1234.5, report, sustained: true }],
+            service_rate_rps: 4938.0,
+            p99_bound_s: 1e-3,
+            sustained_rps_at_p99: 1234.5,
+            daemon_vs_static_cycle_ratio: 1.07,
+            static_pipelined_cycles: 107,
+            online_makespan_cycles: 100,
+        };
+        assert_eq!(
+            headline(&result).unwrap(),
+            vec![
+                Metric::new("sustained_rps_at_p99", 1234.5),
+                Metric::new("daemon_vs_static_cycle_ratio", 1.07),
+            ]
+        );
+        // Both metrics are simulated cycles, never wall clock.
+        assert!(headline(&result).unwrap().iter().all(|m| !m.wall_clock));
+        // An empty sweep fails loudly rather than gating nothing.
+        result.rows.clear();
+        assert!(headline(&result).is_err());
     }
 }

@@ -22,7 +22,7 @@ use gnnie_core::SimThreads;
 use gnnie_gnn::model::GnnModel;
 use gnnie_graph::Dataset;
 
-use crate::{Ctx, ExperimentResult, Table};
+use crate::{Ctx, ExperimentResult, Metric, Table};
 
 /// Worker-thread counts swept against the serial path.
 pub const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
@@ -91,13 +91,45 @@ pub fn sweep(ctx: &Ctx) -> Vec<SpeedupRow> {
     rows
 }
 
-/// Regenerates the parallel-speedup table.
+/// Regenerates the parallel-speedup table and its headline metrics.
 pub fn run(ctx: &Ctx) -> ExperimentResult {
-    render(&sweep(ctx))
+    finish(&sweep(ctx))
 }
 
-/// Renders an already-computed sweep (the bin reuses one sweep for the
-/// table and the JSON artifact).
+/// The table and headline of a computed sweep, with an error when any
+/// sharded run diverged from the serial report (so `bench` exits 1 even
+/// without `--json`).
+fn finish(rows: &[SpeedupRow]) -> ExperimentResult {
+    let mut result = render(rows).with_headline(headline(rows));
+    if rows.iter().any(|r| !r.identical) {
+        result.errors.push("a sharded run diverged from the serial report (see table)".into());
+    }
+    result
+}
+
+/// The gated metrics: the equality flag is deterministic; the thread
+/// speedup is wall clock (conservative baseline). The maximum skips the
+/// `threads = 1` rows — they rerun the serial code path, so a
+/// regression in the actually-parallel path must not be able to hide
+/// behind their ~1x.
+///
+/// # Errors
+///
+/// A sweep without multi-thread rows, which has nothing to gate.
+pub fn headline(rows: &[SpeedupRow]) -> Result<Vec<Metric>, String> {
+    let max_speedup = rows
+        .iter()
+        .filter(|r| r.threads > 1)
+        .map(|r| r.speedup)
+        .reduce(f64::max)
+        .ok_or("parallel: no multi-thread rows to gate")?;
+    Ok(vec![
+        Metric::flag("bit_identical", rows.iter().all(|r| r.identical)),
+        Metric::wall_clock("max_speedup_vs_serial", max_speedup),
+    ])
+}
+
+/// Renders an already-computed sweep as the printed table.
 pub fn render(rows: &[SpeedupRow]) -> ExperimentResult {
     let mut t = Table::new(&[
         "dataset",
@@ -129,11 +161,7 @@ pub fn render(rows: &[SpeedupRow]) -> ExperimentResult {
          where forced workers only add scope/spawn overhead)"
             .to_string(),
     );
-    ExperimentResult {
-        id: "Parallel",
-        title: "Parallel simulation speedup (sim-threads sweep)",
-        lines,
-    }
+    ExperimentResult::new("Parallel", "Parallel simulation speedup (sim-threads sweep)", lines)
 }
 
 #[cfg(test)]
@@ -155,5 +183,46 @@ mod tests {
         for chunk in rows.chunks(THREAD_SWEEP.len()) {
             assert!(chunk.iter().all(|r| r.total_cycles == chunk[0].total_cycles));
         }
+    }
+
+    fn row(threads: usize, speedup: f64, identical: bool) -> SpeedupRow {
+        SpeedupRow {
+            dataset: Dataset::Cora,
+            threads,
+            run_ms: 1.0,
+            serial_ms: speedup,
+            speedup,
+            identical,
+            total_cycles: 100,
+        }
+    }
+
+    #[test]
+    fn parallel_metrics_fold_flags_and_speedups() {
+        // The threads=1 row reruns the serial path (~1x by construction)
+        // and must NOT feed the wall-clock maximum.
+        let rows = [row(1, 2.5, true), row(4, 1.8, false), row(8, 0.9, true)];
+        let m = headline(&rows).unwrap();
+        assert_eq!(
+            m,
+            vec![
+                Metric::new("bit_identical", 0.0),
+                Metric::wall_clock("max_speedup_vs_serial", 1.8)
+            ]
+        );
+        // A sweep with only trivial rows cannot be gated.
+        assert!(headline(&[row(1, 1.0, true)]).is_err());
+    }
+
+    #[test]
+    fn a_diverged_row_is_an_error_but_still_reports_its_headline() {
+        let clean = finish(&[row(1, 1.0, true), row(2, 1.4, true)]);
+        assert!(clean.errors.is_empty(), "{:?}", clean.errors);
+        assert_eq!(clean.headline[0], Metric::new("bit_identical", 1.0));
+        let diverged = finish(&[row(1, 1.0, true), row(2, 1.4, false)]);
+        assert_eq!(diverged.errors.len(), 1, "{:?}", diverged.errors);
+        assert!(diverged.errors[0].contains("diverged"));
+        assert_eq!(diverged.headline[0], Metric::new("bit_identical", 0.0));
+        assert!(diverged.lines.iter().any(|l| l.contains("NO")), "the table shows the row");
     }
 }

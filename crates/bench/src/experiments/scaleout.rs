@@ -19,7 +19,7 @@ use gnnie_core::config::AcceleratorConfig;
 use gnnie_gnn::model::GnnModel;
 use gnnie_graph::{Dataset, GraphPartition, PartitionerKind};
 
-use crate::{Ctx, ExperimentResult, Table};
+use crate::{Ctx, ExperimentResult, Metric, Table};
 
 /// Simulated accelerator counts swept per dataset.
 pub const CHIP_SWEEP: [usize; 4] = [1, 2, 4, 8];
@@ -123,13 +123,33 @@ pub fn cut_quality(ctx: &Ctx) -> Vec<CutRow> {
     rows
 }
 
-/// Regenerates the scale-out tables.
+/// Regenerates the scale-out tables and their headline metrics.
 pub fn run(ctx: &Ctx) -> ExperimentResult {
-    render(&sweep(ctx), &cut_quality(ctx))
+    let rows = sweep(ctx);
+    render(&rows, &cut_quality(ctx)).with_headline(headline(&rows))
 }
 
-/// Renders already-computed sweeps (the bin reuses one sweep for the
-/// table and the JSON artifact).
+/// The gated metrics: the best 4-chip simulated-cycle speedup and how
+/// many datasets actually scale (speedup > 1x) at 4 chips — the
+/// acceptance bar is at least the two large datasets. Only the 4-chip
+/// rows count. Simulated cycles, deterministic run to run, so the
+/// baselines stay tight.
+///
+/// # Errors
+///
+/// A sweep without 4-chip rows, which has nothing to gate.
+pub fn headline(rows: &[ScaleoutRow]) -> Result<Vec<Metric>, String> {
+    let at_4: Vec<f64> = rows.iter().filter(|r| r.chips == 4).map(|r| r.speedup).collect();
+    let max_speedup =
+        at_4.iter().copied().reduce(f64::max).ok_or("scaleout: no 4-chip rows to gate")?;
+    let scaling = at_4.iter().filter(|&&s| s > 1.0).count();
+    Ok(vec![
+        Metric::new("max_speedup_at_4_chips", max_speedup),
+        Metric::new("datasets_scaling_at_4_chips", scaling as f64),
+    ])
+}
+
+/// Renders already-computed sweeps as the printed tables.
 pub fn render(rows: &[ScaleoutRow], cuts: &[CutRow]) -> ExperimentResult {
     let mut t = Table::new(&[
         "dataset",
@@ -174,11 +194,11 @@ pub fn render(rows: &[ScaleoutRow], cuts: &[CutRow]) -> ExperimentResult {
          and scale"
             .to_string(),
     );
-    ExperimentResult {
-        id: "Scaleout",
-        title: "Multi-accelerator scale-out (partitioned cache walk)",
+    ExperimentResult::new(
+        "Scaleout",
+        "Multi-accelerator scale-out (partitioned cache walk)",
         lines,
-    }
+    )
 }
 
 #[cfg(test)]
@@ -218,5 +238,40 @@ mod tests {
         let rendered = render(&sweep(&ctx), &cuts);
         let text = rendered.lines.join("\n");
         assert!(text.contains("range") && text.contains("edgecut"), "{text}");
+    }
+
+    fn row(dataset: Dataset, chips: usize, speedup: f64) -> ScaleoutRow {
+        ScaleoutRow {
+            dataset,
+            chips,
+            total_cycles: 100,
+            speedup,
+            inter_chip_bytes: 0,
+            inter_chip_cycles: 0,
+        }
+    }
+
+    #[test]
+    fn scaleout_metrics_reduce_the_4_chip_rows() {
+        let rows = [
+            row(Dataset::Cora, 1, 1.0),
+            row(Dataset::Cora, 4, 0.6),
+            row(Dataset::Ppi, 4, 2.0),
+            row(Dataset::Reddit, 4, 4.5),
+            row(Dataset::Reddit, 8, 6.1),
+        ];
+        let m = headline(&rows).unwrap();
+        assert_eq!(
+            m,
+            vec![
+                Metric::new("max_speedup_at_4_chips", 4.5),
+                Metric::new("datasets_scaling_at_4_chips", 2.0),
+            ]
+        );
+        // Simulated-cycle numbers, not wall clock: gated tightly even on
+        // a single-core runner.
+        assert!(m.iter().all(|m| !m.wall_clock));
+        // A sweep with no 4-chip rows cannot be gated.
+        assert!(headline(&[row(Dataset::Cora, 1, 1.0)]).is_err());
     }
 }

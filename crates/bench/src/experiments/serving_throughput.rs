@@ -27,7 +27,7 @@ use gnnie_serve::{
 };
 
 use crate::table::fmt_count;
-use crate::{Ctx, ExperimentResult, Table};
+use crate::{Ctx, ExperimentResult, Metric, Table};
 
 /// Serving sweeps cap the synthesis scale: request mixes multiply the
 /// per-run cost, and the batching/pipelining trends are scale-stable.
@@ -104,13 +104,36 @@ pub fn sweep(ctx: &Ctx) -> Vec<SweepRow> {
     rows
 }
 
-/// Regenerates the serving-throughput table.
+/// Regenerates the serving-throughput table and its headline metrics.
 pub fn run(ctx: &Ctx) -> ExperimentResult {
-    render(&sweep(ctx))
+    let rows = sweep(ctx);
+    render(&rows).with_headline(headline(&rows))
 }
 
-/// Renders an already-computed sweep (the `serving_throughput` bin
-/// reuses one sweep for both the table and its JSON artifact).
+/// The gated metrics: simulated-cycle numbers, deterministic run to
+/// run. The gate takes the *worst* row of the sweep so no mix can
+/// regress unnoticed.
+///
+/// # Errors
+///
+/// An empty sweep, which has nothing to gate.
+pub fn headline(rows: &[SweepRow]) -> Result<Vec<Metric>, String> {
+    if rows.is_empty() {
+        return Err("serving: empty sweep".into());
+    }
+    let worst = |f: fn(&ServeReport) -> f64| {
+        rows.iter().map(|r| f(&r.report)).fold(f64::INFINITY, f64::min)
+    };
+    Ok(vec![
+        Metric::new("min_speedup_vs_serial", worst(ServeReport::speedup_vs_serial)),
+        Metric::new(
+            "min_throughput_inferences_per_s",
+            worst(ServeReport::throughput_inferences_per_s),
+        ),
+    ])
+}
+
+/// Renders an already-computed sweep as the printed table.
 pub fn render(rows: &[SweepRow]) -> ExperimentResult {
     let mut t = Table::new(&[
         "mix",
@@ -150,11 +173,11 @@ pub fn render(rows: &[SweepRow]) -> ExperimentResult {
          scheduling)"
             .to_string(),
     );
-    ExperimentResult {
-        id: "Serving",
-        title: "Batched + pipelined serving throughput (gnnie-serve)",
+    ExperimentResult::new(
+        "Serving",
+        "Batched + pipelined serving throughput (gnnie-serve)",
         lines,
-    }
+    )
 }
 
 #[cfg(test)]
@@ -198,5 +221,48 @@ mod tests {
         let f = schedule_static(&same, &costs, SchedulerPolicy::Fifo, 4);
         let a = schedule_static(&same, &costs, SchedulerPolicy::ModelAffinity, 4);
         assert_eq!(f.pipelined_total_cycles, a.pipelined_total_cycles);
+    }
+
+    /// A synthetic row: `requests` served in `pipelined` cycles at
+    /// 10 kHz, against a serial baseline of `serial` cycles.
+    fn row(serial: u64, pipelined: u64, requests: usize) -> SweepRow {
+        let outcome = gnnie_serve::RequestOutcome {
+            request: InferenceRequest::new(0, GnnModel::Gcn, Dataset::Cora, 0.1, 0),
+            batch: 0,
+            weights_resident: false,
+            batched_cycles: pipelined,
+            serial_cycles: serial,
+            latency_s: 0.0,
+        };
+        SweepRow {
+            mix: "synthetic",
+            policy: SchedulerPolicy::Fifo,
+            max_batch: 1,
+            report: ServeReport {
+                policy: SchedulerPolicy::Fifo,
+                max_batch: 1,
+                requests: vec![outcome; requests],
+                batches: Vec::new(),
+                pipelined_total_cycles: pipelined,
+                batched_serial_cycles: pipelined,
+                serial_total_cycles: serial,
+                weight_load_cycles_saved: 0,
+                clock_hz: 10_000.0,
+            },
+        }
+    }
+
+    #[test]
+    fn serving_metrics_take_the_worst_row() {
+        // Row 1: 2.0x, 100 inf/s; row 2: 1.5x, 900 inf/s.
+        let rows = [row(200, 100, 1), row(150, 100, 9)];
+        assert_eq!(
+            headline(&rows).unwrap(),
+            vec![
+                Metric::new("min_speedup_vs_serial", 1.5),
+                Metric::new("min_throughput_inferences_per_s", 100.0),
+            ]
+        );
+        assert!(headline(&[]).is_err(), "an empty sweep cannot be gated");
     }
 }

@@ -60,7 +60,7 @@ pub fn run(ctx: &Ctx) -> ExperimentResult {
          (Table IV's 'degrades only moderately', extended)"
             .to_string(),
     );
-    ExperimentResult { id: "Table IV-b", title: "Throughput vs graph scale (extension)", lines }
+    ExperimentResult::new("Table IV-b", "Throughput vs graph scale (extension)", lines)
 }
 
 #[cfg(test)]

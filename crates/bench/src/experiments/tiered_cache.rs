@@ -24,7 +24,7 @@ use gnnie_gnn::model::GnnModel;
 use gnnie_graph::Dataset;
 use gnnie_mem::{SplitMode, TierSpec};
 
-use crate::{Ctx, ExperimentResult, Table};
+use crate::{Ctx, ExperimentResult, Metric, Table};
 
 /// The capacity splits swept per dataset.
 pub const SPLIT_MODES: [SplitMode; 2] = [SplitMode::Even, SplitMode::Workload];
@@ -80,13 +80,50 @@ pub fn sweep(ctx: &Ctx) -> Vec<TieredRow> {
     rows
 }
 
-/// Regenerates the tier-split table.
+/// Regenerates the tier-split table and its headline metrics.
 pub fn run(ctx: &Ctx) -> ExperimentResult {
-    render(&sweep(ctx))
+    let rows = sweep(ctx);
+    render(&rows).with_headline(headline(&rows))
 }
 
-/// Renders an already-computed sweep (the bin reuses one sweep for the
-/// table and the JSON artifact).
+/// The gated metrics: how well the workload-aware split of one global
+/// budget holds up against the naive even split. Each `workload` row is
+/// paired with the `even` row of its dataset; the pairs reduce to the
+/// workload split's mean on-chip hit rate, the number of datasets it
+/// wins on total cycles (the acceptance bar is at least two), and the
+/// mean even/workload cycle ratio (> 1 means the workload split is
+/// faster). Simulated cycles, deterministic run to run, so the
+/// baselines stay tight.
+///
+/// # Errors
+///
+/// A workload row without an even partner, or no pairs at all.
+pub fn headline(rows: &[TieredRow]) -> Result<Vec<Metric>, String> {
+    let (mut hit_sum, mut ratio_sum, mut wins, mut pairs) = (0.0, 0.0, 0usize, 0usize);
+    for r in rows.iter().filter(|r| r.mode == SplitMode::Workload) {
+        let even = rows
+            .iter()
+            .find(|e| e.mode == SplitMode::Even && e.dataset == r.dataset)
+            .ok_or_else(|| {
+                format!("tiered: workload row for `{}` has no even row", r.dataset.abbrev())
+            })?;
+        hit_sum += r.onchip_hit_rate;
+        ratio_sum += even.total_cycles as f64 / (r.total_cycles as f64).max(1.0);
+        wins += usize::from(r.total_cycles < even.total_cycles);
+        pairs += 1;
+    }
+    if pairs == 0 {
+        return Err("tiered: no even/workload pairs to gate".into());
+    }
+    let n = pairs as f64;
+    Ok(vec![
+        Metric::new("workload_mean_onchip_hit_rate", hit_sum / n),
+        Metric::new("datasets_won_by_workload_split", wins as f64),
+        Metric::new("mean_cycle_ratio_even_over_workload", ratio_sum / n),
+    ])
+}
+
+/// Renders an already-computed sweep as the printed table.
 pub fn render(rows: &[TieredRow]) -> ExperimentResult {
     let mut t = Table::new(&[
         "dataset",
@@ -121,11 +158,11 @@ pub fn render(rows: &[TieredRow]) -> ExperimentResult {
          shrinks it and pays in evictions and deep-tier refetches",
         rows.len() / SPLIT_MODES.len(),
     ));
-    ExperimentResult {
-        id: "Tiered cache",
-        title: "Tiered feature cache (workload-aware vs even capacity split)",
+    ExperimentResult::new(
+        "Tiered cache",
+        "Tiered feature cache (workload-aware vs even capacity split)",
         lines,
-    }
+    )
 }
 
 #[cfg(test)]
@@ -150,5 +187,40 @@ mod tests {
         }
         let text = render(&rows).lines.join("\n");
         assert!(text.contains("workload") && text.contains("even"), "{text}");
+    }
+
+    fn row(dataset: Dataset, mode: SplitMode, onchip_hit_rate: f64, cycles: u64) -> TieredRow {
+        TieredRow {
+            dataset,
+            mode,
+            budget_bytes: 1 << 20,
+            onchip_hit_rate,
+            dram_hit_rate: 0.0,
+            ssd_read_bytes: 0,
+            total_cycles: cycles,
+        }
+    }
+
+    #[test]
+    fn tiered_metrics_pair_even_and_workload_rows_per_dataset() {
+        let rows = [
+            row(Dataset::Cora, SplitMode::Even, 0.10, 1000),
+            row(Dataset::Cora, SplitMode::Workload, 0.60, 800),
+            row(Dataset::Reddit, SplitMode::Even, 0.05, 4000),
+            row(Dataset::Reddit, SplitMode::Workload, 0.40, 5000),
+        ];
+        let m = headline(&rows).unwrap();
+        assert_eq!(m[0], Metric::new("workload_mean_onchip_hit_rate", 0.5));
+        assert_eq!(m[1], Metric::new("datasets_won_by_workload_split", 1.0));
+        // (1000/800 + 4000/5000) / 2 = (1.25 + 0.8) / 2
+        assert!((m[2].value - 1.025).abs() < 1e-12, "{:?}", m[2]);
+        // Simulated-cycle numbers, not wall clock: gated tightly even on
+        // a single-core runner.
+        assert!(m.iter().all(|m| !m.wall_clock));
+        // A workload row with no even partner, and an empty sweep, fail
+        // loudly rather than gating nothing.
+        let orphan = [row(Dataset::Cora, SplitMode::Workload, 0.6, 800)];
+        assert!(headline(&orphan).is_err());
+        assert!(headline(&[]).is_err());
     }
 }

@@ -1,43 +1,43 @@
 //! The CI perf-regression gate over the `BENCH_*.json` trajectory.
 //!
-//! CI records three perf artifacts per run — serving throughput, ingest
-//! throughput, and the parallel-simulation speedup — and this module
-//! turns them from *recorded* numbers into *gated* ones: each artifact is
-//! reduced to a few **headline metrics** (all higher-is-better), compared
-//! against the checked-in `bench/baselines/*.json`, and a drop of more
-//! than the tolerance (10% by default) fails the job with a per-metric
-//! delta table. `gnnie-bench --bin bench_check` is the front end.
+//! CI records six perf artifacts per run — serving throughput, ingest
+//! throughput, the parallel-simulation speedup, online serving,
+//! multi-chip scale-out and the tiered feature cache — and this module
+//! turns them from *recorded* numbers into *gated* ones. Each gated
+//! experiment declares its **headline metrics** (all higher-is-better)
+//! in its `run()`; `bench --only <id> --json <path>` writes them through
+//! [`render_artifact`] in one schema:
 //!
-//! Two kinds of headline metric coexist deliberately:
+//! ```text
+//! {"experiment": "<id>",
+//!  "headline": [{"name": ..., "value": ..., "wall_clock": ...}, ...],
+//!  "lines": ["<the printed table, line by line>", ...]}
+//! ```
+//!
+//! `bench_check` reads the headline block back ([`parse_artifact`]),
+//! compares it against the checked-in `bench/baselines/<id>.json`, and
+//! a drop of more than the tolerance (10% by default) fails the job with
+//! a per-metric delta table.
+//!
+//! Two kinds of headline metric coexist deliberately, told apart by
+//! [`Metric::wall_clock`]:
 //!
 //! * **deterministic** metrics (simulated-cycle ratios, bit-identity
 //!   flags) — exact run to run, so their baselines are tight;
 //! * **wall-clock** metrics (build/run speedups measured on the host) —
 //!   noisy on shared CI boxes, so their committed baselines are set
-//!   conservatively and only large regressions trip the gate.
+//!   conservatively and only large regressions trip the gate. The
+//!   `--write-baselines` refresh freezes them, and a single-core runner
+//!   reports their regressions informationally.
 //!
 //! Baselines are refreshed by re-running the benches and passing
 //! `--write-baselines` (see the README's bench-gate workflow).
 
-use crate::json::Json;
+use crate::json::{quote, Json};
+use crate::{ExperimentResult, Metric};
 
 /// Relative drop that fails the gate (10%).
 pub const DEFAULT_TOLERANCE: f64 = 0.10;
-
-/// One headline metric extracted from an artifact.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Metric {
-    /// Metric name (stable across runs; the baseline key).
-    pub name: String,
-    /// Measured value (higher is better for every gate metric).
-    pub value: f64,
-}
-
-impl Metric {
-    fn new(name: &str, value: f64) -> Self {
-        Metric { name: name.to_string(), value }
-    }
-}
 
 /// One row of the delta table.
 #[derive(Debug, Clone)]
@@ -50,6 +50,8 @@ pub struct Delta {
     /// The freshly measured value (`None` = metric vanished from the
     /// artifact, which is itself a regression).
     pub current: Option<f64>,
+    /// Whether the artifact marks the metric as wall clock.
+    pub wall_clock: bool,
     /// Whether this row fails the gate.
     pub regressed: bool,
 }
@@ -65,275 +67,102 @@ impl Delta {
     }
 }
 
-/// The artifact stem (no directory, no `.json`) the gate knows how to
-/// reduce, or `None` for an unknown file.
-fn artifact_stem(artifact: &str) -> Option<&str> {
-    let stem = artifact.rsplit('/').next()?.strip_suffix(".json")?;
-    [
-        "BENCH_serving_throughput",
-        "BENCH_ingest_throughput",
-        "BENCH_parallel_speedup",
-        "BENCH_online_serving",
-        "BENCH_scaleout",
-        "BENCH_tiered_cache",
-    ]
-    .into_iter()
-    .find(|&known| known == stem)
+/// What `bench_check` reads from an artifact.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Artifact {
+    /// The experiment id (`bench --only` id) that wrote it.
+    pub experiment: String,
+    /// Its headline metrics (never empty).
+    pub headline: Vec<Metric>,
 }
 
-/// The baseline file name for an artifact (`BENCH_foo.json` →
-/// `foo.json`).
+/// The baseline file name for an experiment id (`foo` → `foo.json`).
 ///
 /// # Errors
 ///
-/// Unknown artifacts are rejected so a typo in CI fails loudly.
-pub fn baseline_file_for(artifact: &str) -> Result<String, String> {
-    let stem = artifact_stem(artifact)
-        .ok_or_else(|| format!("`{artifact}` is not a gated BENCH_* artifact"))?;
-    Ok(format!("{}.json", stem.trim_start_matches("BENCH_")))
-}
-
-/// Reduces a parsed artifact to its headline metrics.
-///
-/// # Errors
-///
-/// Unknown artifact names, or an artifact whose shape no longer matches
-/// what its bench bin writes.
-pub fn headline_metrics(artifact: &str, json: &Json) -> Result<Vec<Metric>, String> {
-    match artifact_stem(artifact) {
-        Some("BENCH_serving_throughput") => serving_metrics(json),
-        Some("BENCH_ingest_throughput") => ingest_metrics(json),
-        Some("BENCH_parallel_speedup") => parallel_metrics(json),
-        Some("BENCH_online_serving") => online_metrics(json),
-        Some("BENCH_scaleout") => scaleout_metrics(json),
-        Some("BENCH_tiered_cache") => tiered_metrics(json),
-        _ => Err(format!("`{artifact}` is not a gated BENCH_* artifact")),
+/// Ids that are not a plain `[A-Za-z0-9_]+` name, so an artifact cannot
+/// point the gate outside the baseline directory.
+pub fn baseline_file_for(experiment: &str) -> Result<String, String> {
+    if experiment.is_empty()
+        || !experiment.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
+    {
+        return Err(format!("`{experiment}` is not an experiment id"));
     }
+    Ok(format!("{experiment}.json"))
 }
 
-fn field(row: &Json, key: &str, what: &str) -> Result<f64, String> {
-    row.get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| format!("{what}: row is missing numeric `{key}`"))
-}
-
-fn flag(row: &Json, key: &str, what: &str) -> Result<bool, String> {
-    row.get(key)
-        .and_then(Json::as_bool)
-        .ok_or_else(|| format!("{what}: row is missing boolean `{key}`"))
-}
-
-/// Serving: simulated-cycle numbers, deterministic run to run. The gate
-/// takes the *worst* row of the sweep so no mix can regress unnoticed.
-fn serving_metrics(json: &Json) -> Result<Vec<Metric>, String> {
-    let rows = json.as_arr().ok_or("serving artifact: expected a top-level array")?;
-    if rows.is_empty() {
-        return Err("serving artifact: empty sweep".into());
-    }
-    let mut min_speedup = f64::INFINITY;
-    let mut min_throughput = f64::INFINITY;
-    for row in rows {
-        min_speedup = min_speedup.min(field(row, "speedup_vs_serial", "serving")?);
-        min_throughput =
-            min_throughput.min(field(row, "throughput_inferences_per_s", "serving")?);
-    }
-    Ok(vec![
-        Metric::new("min_speedup_vs_serial", min_speedup),
-        Metric::new("min_throughput_inferences_per_s", min_throughput),
-    ])
-}
-
-/// Ingest: the bit-identity flag is deterministic; the build speedup is
-/// wall-clock (conservative baseline). The speedup maximum deliberately
-/// skips the `shards = 1` rows — a one-shard build measures the serial
-/// path against itself (~1x by construction), so including it would let
-/// a broken multi-shard path hide behind the trivial row.
-fn ingest_metrics(json: &Json) -> Result<Vec<Metric>, String> {
-    let rows = json
-        .get("sweep")
-        .and_then(Json::as_arr)
-        .ok_or("ingest artifact: expected a `sweep` array")?;
-    if rows.is_empty() {
-        return Err("ingest artifact: empty sweep".into());
-    }
-    let mut all_identical = true;
-    let mut max_speedup = f64::NEG_INFINITY;
-    for row in rows {
-        all_identical &= flag(row, "matches_serial", "ingest")?;
-        if field(row, "shards", "ingest")? > 1.0 {
-            max_speedup = max_speedup.max(field(row, "speedup_vs_serial", "ingest")?);
+/// Writes an experiment's artifact: its id, headline metrics, and
+/// printed lines.
+pub fn render_artifact(experiment: &str, result: &ExperimentResult) -> String {
+    let headline: Vec<String> = result
+        .headline
+        .iter()
+        .map(|m| {
+            // Display prints the shortest text that parses back to the
+            // same f64; JSON has no spelling for NaN or infinities.
+            let value = if m.value.is_finite() { m.value.to_string() } else { "null".into() };
+            format!(
+                "    {{\"name\": {}, \"value\": {value}, \"wall_clock\": {}}}",
+                quote(&m.name),
+                m.wall_clock
+            )
+        })
+        .collect();
+    let lines: Vec<String> = result.lines.iter().map(|l| format!("    {}", quote(l))).collect();
+    let array = |items: Vec<String>| {
+        if items.is_empty() {
+            "[]".to_string()
+        } else {
+            format!("[\n{}\n  ]", items.join(",\n"))
         }
-    }
-    if max_speedup == f64::NEG_INFINITY {
-        return Err("ingest artifact: no multi-shard rows to gate".into());
-    }
-    // The out-of-core row: the chunked external builder's bit-identity
-    // is deterministic; the snapshot-load-vs-reparse speedup is wall
-    // clock (conservative baseline, demotable on single-core runners).
-    let oc = json.get("outofcore").ok_or("ingest artifact: missing `outofcore` object")?;
-    let oc_identical = flag(oc, "bit_identical", "ingest outofcore")?;
-    let oc_speedup = field(oc, "load_speedup_vs_reparse", "ingest outofcore")?;
-    Ok(vec![
-        Metric::new("bit_identical", f64::from(u8::from(all_identical))),
-        Metric::new("max_build_speedup_vs_serial", max_speedup),
-        Metric::new("outofcore_bit_identical", f64::from(u8::from(oc_identical))),
-        Metric::new("outofcore_load_speedup_vs_reparse", oc_speedup),
-    ])
-}
-
-/// Parallel simulation: the equality flag is deterministic; the thread
-/// speedup is wall-clock (conservative baseline). As with ingest, the
-/// maximum skips the `threads = 1` rows — they rerun the serial code
-/// path, so a regression in the actually-parallel path must not be able
-/// to hide behind their ~1x.
-fn parallel_metrics(json: &Json) -> Result<Vec<Metric>, String> {
-    let rows = json.as_arr().ok_or("parallel artifact: expected a top-level array")?;
-    if rows.is_empty() {
-        return Err("parallel artifact: empty sweep".into());
-    }
-    let mut all_identical = true;
-    let mut max_speedup = f64::NEG_INFINITY;
-    for row in rows {
-        all_identical &= flag(row, "identical", "parallel")?;
-        if field(row, "threads", "parallel")? > 1.0 {
-            max_speedup = max_speedup.max(field(row, "speedup_vs_serial", "parallel")?);
-        }
-    }
-    if max_speedup == f64::NEG_INFINITY {
-        return Err("parallel artifact: no multi-thread rows to gate".into());
-    }
-    Ok(vec![
-        Metric::new("bit_identical", f64::from(u8::from(all_identical))),
-        Metric::new("max_speedup_vs_serial", max_speedup),
-    ])
-}
-
-/// Online serving: sustained request rate under the p99 bound and the
-/// online-vs-static-planner cycle ratio. Both are simulated-cycle
-/// numbers — deterministic run to run — so the baselines stay tight.
-fn online_metrics(json: &Json) -> Result<Vec<Metric>, String> {
-    let rows = json
-        .get("sweep")
-        .and_then(Json::as_arr)
-        .ok_or("online artifact: expected a `sweep` array")?;
-    if rows.is_empty() {
-        return Err("online artifact: empty sweep".into());
-    }
-    let sustained = json
-        .get("sustained_rps_at_p99")
-        .and_then(Json::as_f64)
-        .ok_or("online artifact: missing numeric `sustained_rps_at_p99`")?;
-    let ratio = json
-        .get("daemon_vs_static_cycle_ratio")
-        .and_then(Json::as_f64)
-        .ok_or("online artifact: missing numeric `daemon_vs_static_cycle_ratio`")?;
-    Ok(vec![
-        Metric::new("sustained_rps_at_p99", sustained),
-        Metric::new("daemon_vs_static_cycle_ratio", ratio),
-    ])
-}
-
-/// Multi-accelerator scale-out: the best 4-chip simulated-cycle speedup
-/// and how many datasets actually scale (speedup > 1x) at 4 chips — the
-/// acceptance bar is at least the two large datasets. Simulated cycles,
-/// deterministic run to run, so the baselines stay tight.
-fn scaleout_metrics(json: &Json) -> Result<Vec<Metric>, String> {
-    let rows = json
-        .get("sweep")
-        .and_then(Json::as_arr)
-        .ok_or("scaleout artifact: expected a `sweep` array")?;
-    if rows.is_empty() {
-        return Err("scaleout artifact: empty sweep".into());
-    }
-    let mut max_speedup = f64::NEG_INFINITY;
-    let mut scaling_datasets = 0.0;
-    for row in rows {
-        if field(row, "chips", "scaleout")? != 4.0 {
-            continue;
-        }
-        let speedup = field(row, "speedup_vs_single_chip", "scaleout")?;
-        max_speedup = max_speedup.max(speedup);
-        if speedup > 1.0 {
-            scaling_datasets += 1.0;
-        }
-    }
-    if max_speedup == f64::NEG_INFINITY {
-        return Err("scaleout artifact: no 4-chip rows to gate".into());
-    }
-    Ok(vec![
-        Metric::new("max_speedup_at_4_chips", max_speedup),
-        Metric::new("datasets_scaling_at_4_chips", scaling_datasets),
-    ])
-}
-
-/// Tiered feature cache: how well the workload-aware split of one
-/// global budget holds up against the naive even split. The sweep pairs
-/// an `even` and a `workload` row per dataset; the gate reduces the
-/// pairs to the workload split's mean on-chip hit rate, the number of
-/// datasets it wins on total cycles (the acceptance bar is at least
-/// two), and the mean even/workload cycle ratio (> 1 means the workload
-/// split is faster). Simulated cycles, deterministic run to run, so the
-/// baselines stay tight.
-fn tiered_metrics(json: &Json) -> Result<Vec<Metric>, String> {
-    let rows = json
-        .get("sweep")
-        .and_then(Json::as_arr)
-        .ok_or("tiered artifact: expected a `sweep` array")?;
-    // Pair rows by dataset: mode "even" holds the baseline cycles the
-    // matching "workload" row is judged against.
-    let mut even_cycles: Vec<(String, f64)> = Vec::new();
-    let mut hit_sum = 0.0;
-    let mut ratio_sum = 0.0;
-    let mut wins = 0.0;
-    let mut pairs = 0.0;
-    for row in rows {
-        let dataset = match row.get("dataset") {
-            Some(Json::Str(s)) => s.clone(),
-            _ => return Err("tiered artifact: row is missing string `dataset`".into()),
-        };
-        let cycles = field(row, "total_cycles", "tiered")?;
-        match row.get("mode") {
-            Some(Json::Str(m)) if m == "even" => even_cycles.push((dataset, cycles)),
-            Some(Json::Str(m)) if m == "workload" => {
-                let (_, even) =
-                    even_cycles.iter().find(|(d, _)| *d == dataset).ok_or_else(|| {
-                        format!("tiered artifact: workload row for `{dataset}` has no even row")
-                    })?;
-                hit_sum += field(row, "onchip_hit_rate", "tiered")?;
-                ratio_sum += even / cycles.max(1.0);
-                if cycles < *even {
-                    wins += 1.0;
-                }
-                pairs += 1.0;
-            }
-            _ => return Err("tiered artifact: row is missing `mode` even|workload".into()),
-        }
-    }
-    if pairs == 0.0 {
-        return Err("tiered artifact: no even/workload pairs to gate".into());
-    }
-    Ok(vec![
-        Metric::new("workload_mean_onchip_hit_rate", hit_sum / pairs),
-        Metric::new("datasets_won_by_workload_split", wins),
-        Metric::new("mean_cycle_ratio_even_over_workload", ratio_sum / pairs),
-    ])
-}
-
-/// Metrics measured in host wall clock — noisy on shared CI runners, so
-/// their committed baselines stay deliberately conservative. The
-/// `--write-baselines` refresh *freezes* these: a committed value is
-/// kept verbatim, never raised (a fast dev laptop would bake in a
-/// baseline CI can never meet) and never lowered (one slow CI box would
-/// silently erode the gate). Changing them is a manual edit of the
-/// baseline file. Everything else is deterministic and refreshed
-/// verbatim.
-pub fn is_wall_clock(name: &str) -> bool {
-    matches!(
-        name,
-        "max_build_speedup_vs_serial"
-            | "max_speedup_vs_serial"
-            | "outofcore_load_speedup_vs_reparse"
+    };
+    format!(
+        "{{\n  \"experiment\": {},\n  \"headline\": {},\n  \"lines\": {}\n}}\n",
+        quote(experiment),
+        array(headline),
+        array(lines),
     )
+}
+
+/// Reads an artifact's experiment id and headline block.
+///
+/// # Errors
+///
+/// Malformed JSON, a missing or invalid experiment id, a malformed
+/// headline entry, or a headline block that is missing or empty — an
+/// artifact with nothing to gate must not pass silently.
+pub fn parse_artifact(text: &str) -> Result<Artifact, String> {
+    let doc = Json::parse(text)?;
+    let entries = match doc.get("headline").and_then(Json::as_arr) {
+        Some(entries) if !entries.is_empty() => entries,
+        _ => {
+            return Err("no headline block: nothing to gate (an ungated experiment, or an \
+                        artifact in the retired per-row schema)"
+                .into())
+        }
+    };
+    let experiment = doc
+        .get("experiment")
+        .and_then(Json::as_str)
+        .ok_or("missing string `experiment`")?
+        .to_string();
+    baseline_file_for(&experiment)?;
+    let headline = entries
+        .iter()
+        .map(|e| {
+            let name =
+                e.get("name").and_then(Json::as_str).ok_or("headline entry without `name`")?;
+            let value = e
+                .get("value")
+                .and_then(Json::as_f64)
+                .ok_or_else(|| format!("headline metric `{name}` is not a number"))?;
+            let wall_clock = e.get("wall_clock").and_then(Json::as_bool).ok_or_else(|| {
+                format!("headline metric `{name}` has no boolean `wall_clock`")
+            })?;
+            Ok(Metric { name: name.to_string(), value, wall_clock })
+        })
+        .collect::<Result<Vec<_>, String>>()?;
+    Ok(Artifact { experiment, headline })
 }
 
 /// Reads the `{"artifact": ..., "metrics": {...}}` baseline document.
@@ -351,7 +180,7 @@ pub fn parse_baseline(text: &str) -> Result<Vec<Metric>, String> {
         .iter()
         .map(|(name, v)| {
             v.as_f64()
-                .map(|value| Metric { name: name.clone(), value })
+                .map(|value| Metric::new(name, value))
                 .ok_or_else(|| format!("baseline metric `{name}` is not a number"))
         })
         .collect()
@@ -428,7 +257,9 @@ pub fn render_refresh_summary(prev: &[Metric], next: &[Metric]) -> Vec<String> {
 /// Compares fresh metrics against the baseline: a metric regresses when
 /// it drops more than `tolerance` below its baseline (all gate metrics
 /// are higher-is-better), or when it disappears from the artifact.
-/// Metrics present only in the artifact are informational.
+/// Metrics present only in the artifact are informational. Each row
+/// carries the artifact's wall-clock flag (a vanished metric has none,
+/// so it stays a regression even on a single-core runner).
 pub fn compare(baseline: &[Metric], current: &[Metric], tolerance: f64) -> Vec<Delta> {
     let mut deltas = Vec::new();
     for b in baseline {
@@ -441,6 +272,7 @@ pub fn compare(baseline: &[Metric], current: &[Metric], tolerance: f64) -> Vec<D
             name: b.name.clone(),
             baseline: Some(b.value),
             current: c.map(|m| m.value),
+            wall_clock: c.is_some_and(|m| m.wall_clock),
             regressed,
         });
     }
@@ -450,6 +282,7 @@ pub fn compare(baseline: &[Metric], current: &[Metric], tolerance: f64) -> Vec<D
                 name: m.name.clone(),
                 baseline: None,
                 current: Some(m.value),
+                wall_clock: m.wall_clock,
                 regressed: false,
             });
         }
@@ -466,7 +299,7 @@ pub fn compare(baseline: &[Metric], current: &[Metric], tolerance: f64) -> Vec<D
 pub fn demote_wall_clock_regressions(deltas: &mut [Delta]) -> Vec<String> {
     let mut demoted = Vec::new();
     for d in deltas.iter_mut() {
-        if d.regressed && is_wall_clock(&d.name) {
+        if d.regressed && d.wall_clock {
             d.regressed = false;
             demoted.push(d.name.clone());
         }
@@ -509,169 +342,49 @@ mod tests {
 
     #[test]
     fn baseline_names_map_and_unknown_artifacts_fail() {
-        assert_eq!(
-            baseline_file_for("BENCH_serving_throughput.json").unwrap(),
-            "serving_throughput.json"
-        );
-        assert_eq!(
-            baseline_file_for("some/dir/BENCH_parallel_speedup.json").unwrap(),
-            "parallel_speedup.json"
-        );
-        assert!(baseline_file_for("BENCH_unknown.json").is_err());
-        assert!(baseline_file_for("serving_throughput.json").is_err());
+        assert_eq!(baseline_file_for("serving_throughput").unwrap(), "serving_throughput.json");
+        assert_eq!(baseline_file_for("parallel_speedup").unwrap(), "parallel_speedup.json");
+        for bad in ["", "../secrets", "a/b", "BENCH_x.json"] {
+            assert!(baseline_file_for(bad).is_err(), "`{bad}` must be rejected");
+        }
+        // Artifacts with nothing to gate fail loudly: an old per-row
+        // array, an ungated experiment, and a missing experiment id.
+        assert!(parse_artifact("[]").unwrap_err().contains("no headline block"));
+        let ungated = r#"{"experiment": "fig10", "headline": [], "lines": []}"#;
+        assert!(parse_artifact(ungated).unwrap_err().contains("no headline block"));
+        let no_headline = r#"{"experiment": "fig10", "lines": []}"#;
+        assert!(parse_artifact(no_headline).unwrap_err().contains("no headline block"));
+        assert!(parse_artifact(
+            r#"{"headline": [{"name": "x", "value": 1, "wall_clock": false}]}"#
+        )
+        .is_err());
     }
 
     #[test]
-    fn serving_metrics_take_the_worst_row() {
-        let doc = Json::parse(
-            r#"[{"speedup_vs_serial": 2.0, "throughput_inferences_per_s": 100.0},
-                {"speedup_vs_serial": 1.5, "throughput_inferences_per_s": 900.0}]"#,
-        )
-        .unwrap();
-        let m = headline_metrics("BENCH_serving_throughput.json", &doc).unwrap();
-        assert_eq!(
-            m,
-            metrics(&[
-                ("min_speedup_vs_serial", 1.5),
-                ("min_throughput_inferences_per_s", 100.0),
-            ])
+    fn artifacts_round_trip_through_render_and_parse() {
+        let mut result = ExperimentResult::new(
+            "Parallel",
+            "t",
+            vec!["a \"quoted\" line — 1.50×".into(), String::new()],
         );
-    }
-
-    #[test]
-    fn ingest_and_parallel_metrics_fold_flags_and_speedups() {
-        // The shards=1 / threads=1 rows rerun the serial path (~1x by
-        // construction) and must NOT feed the wall-clock maximum — a
-        // broken parallel path cannot hide behind them.
-        let ingest = Json::parse(
-            r#"{"sweep": [{"matches_serial": true, "shards": 1, "speedup_vs_serial": 2.5},
-                          {"matches_serial": true, "shards": 4, "speedup_vs_serial": 0.9},
-                          {"matches_serial": true, "shards": 8, "speedup_vs_serial": 2.1}],
-                "cache": [],
-                "outofcore": {"bit_identical": true, "load_speedup_vs_reparse": 12.5}}"#,
-        )
-        .unwrap();
-        let m = headline_metrics("BENCH_ingest_throughput.json", &ingest).unwrap();
-        assert_eq!(
-            m,
-            metrics(&[
-                ("bit_identical", 1.0),
-                ("max_build_speedup_vs_serial", 2.1),
-                ("outofcore_bit_identical", 1.0),
-                ("outofcore_load_speedup_vs_reparse", 12.5),
-            ])
-        );
-        // The snapshot-load speedup is wall clock; the identity flags
-        // are deterministic.
-        assert!(is_wall_clock("outofcore_load_speedup_vs_reparse"));
-        assert!(!is_wall_clock("outofcore_bit_identical"));
-        // An artifact without the out-of-core row fails loudly.
-        let missing_oc =
-            Json::parse(r#"{"sweep": [{"matches_serial": true, "shards": 4, "speedup_vs_serial": 1.5}], "cache": []}"#)
-                .unwrap();
-        assert!(headline_metrics("BENCH_ingest_throughput.json", &missing_oc).is_err());
-        let parallel = Json::parse(
-            r#"[{"identical": true, "threads": 1, "speedup_vs_serial": 1.0},
-                {"identical": false, "threads": 4, "speedup_vs_serial": 1.8}]"#,
-        )
-        .unwrap();
-        let m = headline_metrics("BENCH_parallel_speedup.json", &parallel).unwrap();
-        assert_eq!(m, metrics(&[("bit_identical", 0.0), ("max_speedup_vs_serial", 1.8)]));
-        // A sweep with only trivial rows cannot be gated.
-        let only_serial =
-            Json::parse(r#"[{"identical": true, "threads": 1, "speedup_vs_serial": 1.0}]"#)
-                .unwrap();
-        assert!(headline_metrics("BENCH_parallel_speedup.json", &only_serial).is_err());
-    }
-
-    #[test]
-    fn online_metrics_read_the_headline_fields() {
-        let doc = Json::parse(
-            r#"{"sweep": [{"rate_factor": 0.25, "sustained": true}],
-                "sustained_rps_at_p99": 1234.5,
-                "daemon_vs_static_cycle_ratio": 1.07}"#,
-        )
-        .unwrap();
-        let m = headline_metrics("BENCH_online_serving.json", &doc).unwrap();
-        assert_eq!(
-            m,
-            metrics(&[
-                ("sustained_rps_at_p99", 1234.5),
-                ("daemon_vs_static_cycle_ratio", 1.07),
-            ])
-        );
-        assert_eq!(
-            baseline_file_for("artifacts/BENCH_online_serving.json").unwrap(),
-            "online_serving.json"
-        );
-        // Both metrics are simulated-cycle numbers, not wall clock.
-        assert!(!is_wall_clock("sustained_rps_at_p99"));
-        assert!(!is_wall_clock("daemon_vs_static_cycle_ratio"));
-        // Shape drift fails loudly.
-        let empty = Json::parse(r#"{"sweep": [], "sustained_rps_at_p99": 1.0}"#).unwrap();
-        assert!(headline_metrics("BENCH_online_serving.json", &empty).is_err());
-        let missing = Json::parse(r#"{"sweep": [{"rate_factor": 1.0}]}"#).unwrap();
-        assert!(headline_metrics("BENCH_online_serving.json", &missing).is_err());
-    }
-
-    #[test]
-    fn scaleout_metrics_reduce_the_4_chip_rows() {
-        let doc = Json::parse(
-            r#"{"sweep": [
-                  {"dataset": "cr", "chips": 1, "speedup_vs_single_chip": 1.0},
-                  {"dataset": "cr", "chips": 4, "speedup_vs_single_chip": 0.6},
-                  {"dataset": "ppi", "chips": 4, "speedup_vs_single_chip": 2.0},
-                  {"dataset": "rd", "chips": 4, "speedup_vs_single_chip": 4.5},
-                  {"dataset": "rd", "chips": 8, "speedup_vs_single_chip": 6.1}],
-                "cut_quality": []}"#,
-        )
-        .unwrap();
-        let m = headline_metrics("BENCH_scaleout.json", &doc).unwrap();
-        assert_eq!(
-            m,
-            metrics(&[("max_speedup_at_4_chips", 4.5), ("datasets_scaling_at_4_chips", 2.0)])
-        );
-        assert_eq!(baseline_file_for("BENCH_scaleout.json").unwrap(), "scaleout.json");
-        // Simulated-cycle numbers, not wall clock: gated tightly even on
-        // a single-core runner.
-        assert!(!is_wall_clock("max_speedup_at_4_chips"));
-        assert!(!is_wall_clock("datasets_scaling_at_4_chips"));
-        // A sweep with no 4-chip rows cannot be gated.
-        let trivial =
-            Json::parse(r#"{"sweep": [{"chips": 1, "speedup_vs_single_chip": 1.0}]}"#).unwrap();
-        assert!(headline_metrics("BENCH_scaleout.json", &trivial).is_err());
-    }
-
-    #[test]
-    fn tiered_metrics_pair_even_and_workload_rows_per_dataset() {
-        let doc = Json::parse(
-            r#"{"sweep": [
-                  {"dataset": "cr", "mode": "even", "onchip_hit_rate": 0.10, "total_cycles": 1000},
-                  {"dataset": "cr", "mode": "workload", "onchip_hit_rate": 0.60, "total_cycles": 800},
-                  {"dataset": "rd", "mode": "even", "onchip_hit_rate": 0.05, "total_cycles": 4000},
-                  {"dataset": "rd", "mode": "workload", "onchip_hit_rate": 0.40, "total_cycles": 5000}]}"#,
-        )
-        .unwrap();
-        let m = headline_metrics("BENCH_tiered_cache.json", &doc).unwrap();
-        assert_eq!(m[0], Metric::new("workload_mean_onchip_hit_rate", 0.5));
-        assert_eq!(m[1], Metric::new("datasets_won_by_workload_split", 1.0));
-        // (1000/800 + 4000/5000) / 2 = (1.25 + 0.8) / 2
-        assert!((m[2].value - 1.025).abs() < 1e-12, "{:?}", m[2]);
-        assert_eq!(baseline_file_for("BENCH_tiered_cache.json").unwrap(), "tiered_cache.json");
-        // Simulated-cycle numbers, not wall clock: gated tightly even on
-        // a single-core runner.
-        assert!(!is_wall_clock("workload_mean_onchip_hit_rate"));
-        assert!(!is_wall_clock("datasets_won_by_workload_split"));
-        // A workload row with no even partner, and an empty sweep, fail
-        // loudly rather than gating nothing.
-        let orphan = Json::parse(
-            r#"{"sweep": [{"dataset": "cr", "mode": "workload",
-                           "onchip_hit_rate": 0.6, "total_cycles": 800}]}"#,
-        )
-        .unwrap();
-        assert!(headline_metrics("BENCH_tiered_cache.json", &orphan).is_err());
-        let empty = Json::parse(r#"{"sweep": []}"#).unwrap();
-        assert!(headline_metrics("BENCH_tiered_cache.json", &empty).is_err());
+        result.headline = vec![
+            Metric::flag("bit_identical", true),
+            Metric::wall_clock("max_speedup_vs_serial", 1.234_567_890_123),
+            Metric::new("sustained_rps_at_p99", 136_359.5),
+        ];
+        let text = render_artifact("parallel_speedup", &result);
+        let back = parse_artifact(&text).unwrap();
+        assert_eq!(back.experiment, "parallel_speedup");
+        assert_eq!(back.headline, result.headline, "values round-trip exactly:\n{text}");
+        let doc = Json::parse(&text).unwrap();
+        let lines = doc.get("lines").and_then(Json::as_arr).unwrap();
+        assert_eq!(lines[0].as_str(), Some(result.lines[0].as_str()));
+        assert_eq!(lines.len(), 2);
+        // A value JSON cannot spell is written as null and rejected on
+        // read rather than passing as a number.
+        result.headline = vec![Metric::new("nan", f64::NAN)];
+        let err = parse_artifact(&render_artifact("x", &result)).unwrap_err();
+        assert!(err.contains("`nan` is not a number"), "{err}");
     }
 
     #[test]
@@ -680,14 +393,15 @@ mod tests {
             ("max_speedup_vs_serial", 2.0),
             ("bit_identical", 1.0),
             ("max_build_speedup_vs_serial", 1.8),
+            ("vanished_speedup", 1.0),
         ]);
-        let cur = metrics(&[
-            ("max_speedup_vs_serial", 0.9), // unreachable on one core
-            ("bit_identical", 0.0),         // real regression, must survive
-            ("max_build_speedup_vs_serial", 0.8),
-        ]);
+        let cur = vec![
+            Metric::wall_clock("max_speedup_vs_serial", 0.9), // unreachable on one core
+            Metric::new("bit_identical", 0.0),                // real regression, must survive
+            Metric::wall_clock("max_build_speedup_vs_serial", 0.8),
+        ];
         let mut deltas = compare(&base, &cur, DEFAULT_TOLERANCE);
-        assert_eq!(deltas.iter().filter(|d| d.regressed).count(), 3);
+        assert_eq!(deltas.iter().filter(|d| d.regressed).count(), 4);
         let demoted = demote_wall_clock_regressions(&mut deltas);
         assert_eq!(
             demoted,
@@ -698,7 +412,11 @@ mod tests {
         );
         let still: Vec<&str> =
             deltas.iter().filter(|d| d.regressed).map(|d| d.name.as_str()).collect();
-        assert_eq!(still, vec!["bit_identical"], "deterministic metrics still gate");
+        assert_eq!(
+            still,
+            vec!["bit_identical", "vanished_speedup"],
+            "deterministic and vanished metrics still gate"
+        );
     }
 
     #[test]

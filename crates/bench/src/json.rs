@@ -1,8 +1,9 @@
-//! A minimal JSON reader for the perf-regression gate.
+//! A minimal JSON reader (and string quoter) for the perf-regression gate.
 //!
 //! The workspace's serde is an offline no-op shim, so the `BENCH_*.json`
-//! artifacts are written as hand-rolled strings — and read back here by a
-//! small recursive-descent parser. It covers the full JSON grammar the
+//! artifacts are written as hand-rolled strings ([`quote`] escapes the
+//! string values) — and read back here by a small recursive-descent
+//! parser. It covers the full JSON grammar the
 //! artifacts and baselines use (objects, arrays, strings with standard
 //! escapes, numbers, booleans, null) and reports errors with a byte
 //! offset. Numbers are held as `f64`, which is exact for every integer
@@ -83,6 +84,27 @@ impl Json {
             _ => None,
         }
     }
+}
+
+/// Renders `s` as a JSON string literal: quotes added, `"` and `\`
+/// backslash-escaped, control characters as `\n`/`\t`/`\r` or `\u00XX`.
+/// Everything else (including non-ASCII) passes through as UTF-8.
+pub fn quote(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            c if u32::from(c) < 0x20 => out.push_str(&format!("\\u{:04x}", u32::from(c))),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
 }
 
 struct Parser<'a> {
@@ -270,20 +292,22 @@ mod tests {
     #[test]
     fn parses_the_artifact_shapes() {
         let doc = r#"{
-          "sweep": [
-            {"format": "whitespace", "shards": 1, "parse_ms": 1.25, "matches_serial": true},
-            {"format": "csv", "shards": 8, "parse_ms": 0.5, "matches_serial": false}
+          "experiment": "parallel_speedup",
+          "headline": [
+            {"name": "bit_identical", "value": 1, "wall_clock": false},
+            {"name": "max_speedup_vs_serial", "value": 1.8, "wall_clock": true}
           ],
-          "empty": [],
+          "lines": ["dataset  threads", ""],
           "nested": {"x": null}
         }"#;
         let v = Json::parse(doc).unwrap();
-        let sweep = v.get("sweep").unwrap().as_arr().unwrap();
-        assert_eq!(sweep.len(), 2);
-        assert_eq!(sweep[0].get("shards").unwrap().as_f64(), Some(1.0));
-        assert_eq!(sweep[0].get("format").unwrap().as_str(), Some("whitespace"));
-        assert_eq!(sweep[1].get("matches_serial").unwrap().as_bool(), Some(false));
-        assert_eq!(v.get("empty").unwrap().as_arr().unwrap().len(), 0);
+        assert_eq!(v.get("experiment").unwrap().as_str(), Some("parallel_speedup"));
+        let headline = v.get("headline").unwrap().as_arr().unwrap();
+        assert_eq!(headline.len(), 2);
+        assert_eq!(headline[0].get("value").unwrap().as_f64(), Some(1.0));
+        assert_eq!(headline[1].get("name").unwrap().as_str(), Some("max_speedup_vs_serial"));
+        assert_eq!(headline[1].get("wall_clock").unwrap().as_bool(), Some(true));
+        assert_eq!(v.get("lines").unwrap().as_arr().unwrap().len(), 2);
         assert_eq!(v.get("nested").unwrap().get("x"), Some(&Json::Null));
     }
 
@@ -293,6 +317,13 @@ mod tests {
         assert_eq!(Json::parse("[1,2,3]").unwrap().as_arr().unwrap().len(), 3);
         assert_eq!(Json::parse(r#""a\"b\nA""#).unwrap().as_str(), Some("a\"b\nA"));
         assert_eq!(Json::parse(r#""héllo""#).unwrap().as_str(), Some("héllo"));
+        // `quote` writes what the parser reads back.
+        for s in
+            ["a \"quoted\" word", "back\\slash", "tab\tnew\nline\r", "bell\u{7}", "— 1.5× µs"]
+        {
+            let quoted = quote(s);
+            assert_eq!(Json::parse(&quoted).unwrap().as_str(), Some(s), "{quoted}");
+        }
     }
 
     #[test]

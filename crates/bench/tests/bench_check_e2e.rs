@@ -1,7 +1,8 @@
 //! End-to-end tests for the `bench_check` CI gate binary on synthetic
-//! `BENCH_*.json` fixtures: pass, regression with a delta table,
-//! missing metrics, and the `--write-baselines` freeze rules for
-//! wall-clock metrics.
+//! `BENCH_*.json` fixtures in the artifact schema `bench --json` writes:
+//! pass, regression with a delta table, missing metrics, artifacts with
+//! no headline, the `--write-baselines` freeze rules for wall-clock
+//! metrics, and the single-core demotion of wall-clock regressions.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -17,7 +18,15 @@ fn tmpdir(tag: &str) -> PathBuf {
 
 /// Runs `bench_check` with a baseline dir and artifact paths.
 fn run_check(baseline_dir: &Path, extra: &[&str], artifacts: &[&PathBuf]) -> Output {
-    let mut cmd = Command::new(BIN);
+    check_command(Command::new(BIN), baseline_dir, extra, artifacts)
+}
+
+fn check_command(
+    mut cmd: Command,
+    baseline_dir: &Path,
+    extra: &[&str],
+    artifacts: &[&PathBuf],
+) -> Output {
     cmd.arg("--baseline-dir").arg(baseline_dir);
     cmd.args(extra);
     for a in artifacts {
@@ -26,35 +35,50 @@ fn run_check(baseline_dir: &Path, extra: &[&str], artifacts: &[&PathBuf]) -> Out
     cmd.output().expect("spawn bench_check")
 }
 
-/// A serving artifact whose worst row has the given speedup/throughput.
-fn serving_artifact(dir: &Path, speedup: f64, throughput: f64) -> PathBuf {
-    let path = dir.join("BENCH_serving_throughput.json");
+/// Writes `BENCH_<experiment>.json` with the given headline
+/// `(name, value, wall_clock)` entries.
+fn write_artifact(dir: &Path, experiment: &str, headline: &[(&str, f64, bool)]) -> PathBuf {
+    let path = dir.join(format!("BENCH_{experiment}.json"));
+    let entries = headline
+        .iter()
+        .map(|(n, v, w)| format!(r#"    {{"name": "{n}", "value": {v}, "wall_clock": {w}}}"#))
+        .collect::<Vec<_>>()
+        .join(",\n");
     std::fs::write(
         &path,
         format!(
-            r#"[{{"speedup_vs_serial": {speedup}, "throughput_inferences_per_s": {throughput}}},
-                {{"speedup_vs_serial": {}, "throughput_inferences_per_s": {}}}]"#,
-            speedup + 1.0,
-            throughput * 2.0,
+            "{{\n  \"experiment\": \"{experiment}\",\n  \"headline\": [\n{entries}\n  ],\n  \
+             \"lines\": [\"table row\"]\n}}\n"
         ),
     )
     .expect("write artifact");
     path
 }
 
+/// A serving artifact whose headline is the given worst-row
+/// speedup/throughput (both deterministic).
+fn serving_artifact(dir: &Path, speedup: f64, throughput: f64) -> PathBuf {
+    write_artifact(
+        dir,
+        "serving_throughput",
+        &[
+            ("min_speedup_vs_serial", speedup, false),
+            ("min_throughput_inferences_per_s", throughput, false),
+        ],
+    )
+}
+
 /// A parallel-speedup artifact (mixes a deterministic flag with the
 /// wall-clock `max_speedup_vs_serial`).
 fn parallel_artifact(dir: &Path, identical: bool, speedup: f64) -> PathBuf {
-    let path = dir.join("BENCH_parallel_speedup.json");
-    std::fs::write(
-        &path,
-        format!(
-            r#"[{{"identical": true, "threads": 1, "speedup_vs_serial": 1.0}},
-                {{"identical": {identical}, "threads": 4, "speedup_vs_serial": {speedup}}}]"#
-        ),
+    write_artifact(
+        dir,
+        "parallel_speedup",
+        &[
+            ("bit_identical", f64::from(u8::from(identical)), false),
+            ("max_speedup_vs_serial", speedup, true),
+        ],
     )
-    .expect("write artifact");
-    path
 }
 
 fn write_baseline(dir: &Path, file: &str, metrics: &[(&str, f64)]) {
@@ -101,7 +125,7 @@ fn matching_artifact_passes_the_gate() {
 #[test]
 fn a_drop_beyond_tolerance_fails_with_a_delta_table() {
     let dir = tmpdir("regress");
-    // Baseline says 2.0; the artifact's worst row measures 1.5 — a 25%
+    // Baseline says 2.0; the artifact's headline measures 1.5 — a 25%
     // drop, well past the 10% default tolerance.
     let artifact = serving_artifact(&dir, 1.5, 100.0);
     write_baseline(
@@ -153,15 +177,30 @@ fn a_metric_missing_from_the_artifact_fails() {
 #[test]
 fn unknown_artifacts_and_empty_invocations_fail_loudly() {
     let dir = tmpdir("unknown");
-    let bogus = dir.join("BENCH_made_up.json");
-    std::fs::write(&bogus, "[]").unwrap();
-    let out = run_check(&dir, &[], &[&bogus]);
-    assert_eq!(out.status.code(), Some(1));
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("not a gated BENCH_* artifact"),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    // An artifact in the retired per-row shape, an ungated experiment
+    // (empty headline), and one with no headline block at all: each is
+    // rejected by file name.
+    let old_shape = dir.join("BENCH_made_up.json");
+    std::fs::write(&old_shape, "[]").unwrap();
+    let empty = dir.join("BENCH_fig10.json");
+    std::fs::write(&empty, r#"{"experiment": "fig10", "headline": [], "lines": ["x"]}"#)
+        .unwrap();
+    let missing = dir.join("BENCH_table3.json");
+    std::fs::write(&missing, r#"{"experiment": "table3", "lines": ["x"]}"#).unwrap();
+    for bad in [&old_shape, &empty, &missing] {
+        let out = run_check(&dir, &[], &[bad]);
+        assert_eq!(out.status.code(), Some(1));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("error: {}", bad.display())),
+            "the file is named: {stderr}"
+        );
+    }
+    for headless in [&old_shape, &empty, &missing] {
+        let out = run_check(&dir, &[], &[headless]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("no headline block"), "{stderr}");
+    }
     let out = Command::new(BIN).output().expect("spawn bench_check");
     assert_eq!(out.status.code(), Some(2), "no artifacts is a usage error");
     std::fs::remove_dir_all(&dir).ok();
@@ -177,6 +216,10 @@ fn write_baselines_creates_the_file_and_then_passes() {
         read_baseline_metric(&dir, "serving_throughput.json", "min_speedup_vs_serial"),
         1.5
     );
+    // The baseline names the canonical artifact, whatever path the
+    // artifact was read from.
+    let written = std::fs::read_to_string(dir.join("serving_throughput.json")).unwrap();
+    assert!(written.contains(r#""artifact": "BENCH_serving_throughput.json""#), "{written}");
     // The freshly written baseline gates its own artifact cleanly.
     let out = run_check(&dir, &[], &[&artifact]);
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stdout));
@@ -227,32 +270,81 @@ fn write_baselines_freezes_wall_clock_metrics_in_both_directions() {
 #[test]
 fn online_serving_artifact_is_gated_end_to_end() {
     let dir = tmpdir("online");
-    let artifact = dir.join("BENCH_online_serving.json");
-    std::fs::write(
-        &artifact,
-        r#"{"sweep": [{"rate_factor": 0.25, "sustained": true}],
-            "sustained_rps_at_p99": 1000.0,
-            "daemon_vs_static_cycle_ratio": 1.05}"#,
-    )
-    .unwrap();
-    let out = run_check(&dir, &["--write-baselines"], &[&artifact]);
+    let online = |sustained: f64| {
+        write_artifact(
+            &dir,
+            "online_serving",
+            &[
+                ("sustained_rps_at_p99", sustained, false),
+                ("daemon_vs_static_cycle_ratio", 1.05, false),
+            ],
+        )
+    };
+    let path = online(1000.0);
+    let out = run_check(&dir, &["--write-baselines"], &[&path]);
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let out = run_check(&dir, &[], &[&artifact]);
+    let out = run_check(&dir, &[], &[&path]);
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stdout));
     // Losing 20% of the sustained rate trips the gate.
-    std::fs::write(
-        &artifact,
-        r#"{"sweep": [{"rate_factor": 0.25, "sustained": true}],
-            "sustained_rps_at_p99": 800.0,
-            "daemon_vs_static_cycle_ratio": 1.05}"#,
-    )
-    .unwrap();
-    let out = run_check(&dir, &[], &[&artifact]);
+    let path = online(800.0);
+    let out = run_check(&dir, &[], &[&path]);
     assert_eq!(out.status.code(), Some(1));
     assert!(
         String::from_utf8_lossy(&out.stdout).contains("sustained_rps_at_p99"),
         "{}",
         String::from_utf8_lossy(&out.stdout)
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A `bench_check` command that sees a single core: directly when this
+/// machine has one, else pinned to CPU 0 with `taskset` (whose affinity
+/// mask `available_parallelism` honors). `None` when neither works.
+fn single_core_command() -> Option<Command> {
+    if std::thread::available_parallelism().map_or(true, |n| n.get() == 1) {
+        return Some(Command::new(BIN));
+    }
+    let pinned = Command::new("taskset").args(["-c", "0", "nproc"]).output().ok()?;
+    if !pinned.status.success() || String::from_utf8_lossy(&pinned.stdout).trim() != "1" {
+        return None;
+    }
+    let mut cmd = Command::new("taskset");
+    cmd.args(["-c", "0", BIN]);
+    Some(cmd)
+}
+
+#[test]
+fn a_single_core_runner_demotes_only_wall_clock_regressions() {
+    let Some(single_core) = single_core_command() else {
+        eprintln!("skipped: cannot restrict bench_check to one core here (no taskset)");
+        return;
+    };
+    let dir = tmpdir("single-core");
+    write_baseline(
+        &dir,
+        "parallel_speedup.json",
+        &[("bit_identical", 1.0), ("max_speedup_vs_serial", 2.0)],
+    );
+    // The wall-clock speedup halves — unreachable on one core — and is
+    // reported, not gated.
+    let slow = parallel_artifact(&dir, true, 1.0);
+    let out = check_command(single_core, &dir, &[], &[&slow]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}\n{}", String::from_utf8_lossy(&out.stderr));
+    assert!(stdout.contains("single-core runner"), "{stdout}");
+    // The same drop on a metric the artifact marks deterministic still
+    // fails: the flag, not the name, decides.
+    let deterministic = write_artifact(
+        &dir,
+        "parallel_speedup",
+        &[("bit_identical", 1.0, false), ("max_speedup_vs_serial", 1.0, false)],
+    );
+    let out = check_command(single_core_command().unwrap(), &dir, &[], &[&deterministic]);
+    assert_eq!(out.status.code(), Some(1), "{}", String::from_utf8_lossy(&out.stdout));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("REGRESSED"));
+    // A real deterministic regression fails next to a demoted row.
+    let broken = parallel_artifact(&dir, false, 1.0);
+    let out = check_command(single_core_command().unwrap(), &dir, &[], &[&broken]);
+    assert_eq!(out.status.code(), Some(1), "{}", String::from_utf8_lossy(&out.stdout));
     std::fs::remove_dir_all(&dir).ok();
 }

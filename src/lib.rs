@@ -39,7 +39,7 @@
 //!
 //! The `gnnie-bench` crate (not re-exported) regenerates every table and
 //! figure of the paper's evaluation: `cargo run -p gnnie-bench --bin
-//! run_all`.
+//! bench` (or `bench --only <id>` for one of them).
 //!
 //! ## Quickstart
 //!

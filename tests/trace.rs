@@ -69,6 +69,54 @@ fn observed_serve(seed: u64, threads: usize) -> (String, String) {
     (chrome_trace_json(&obs.trace.events()), obs.metrics.snapshot().render())
 }
 
+/// The `(cycles, share %)` rows the text summary prints under one
+/// `process/track` group.
+fn summary_rows(summary: &str, group: &str) -> Vec<(u64, f64)> {
+    let header = format!("  {group}");
+    summary
+        .lines()
+        .skip_while(|l| *l != header)
+        .skip(1)
+        .take_while(|l| l.starts_with("    "))
+        .filter_map(|l| {
+            let (left, right) = l.split_once(" cycles ")?;
+            let cycles = left.split_whitespace().last()?.parse().ok()?;
+            let share = right.split_whitespace().next()?.strip_suffix('%')?.parse().ok()?;
+            Some((cycles, share))
+        })
+        .collect()
+}
+
+/// On a multi-chip run the per-chip walk lanes repeat the engine's
+/// aggregation time in another process. The summary's engine phases
+/// must still read as the whole run: shares adding up to 100% and
+/// cycles to `total_cycles`.
+#[test]
+fn flame_summary_engine_phases_add_up_to_the_run() {
+    let ds = SyntheticDataset::generate(Dataset::Pubmed, 0.1, 7);
+    let mut config = AcceleratorConfig::paper(Dataset::Pubmed);
+    config.chips = 2;
+    let obs = Obs::recording();
+    let report = Engine::new(config).run_with(
+        &ModelConfig::paper(GnnModel::Gcn, &ds.spec),
+        &ds,
+        RunOptions { obs: obs.clone(), ..RunOptions::default() },
+    );
+    let summary = flame_summary(&obs.trace.events());
+    let phases = summary_rows(&summary, "engine/phases");
+    assert!(phases.len() >= 4, "preprocessing, per-layer phases, writeback:\n{summary}");
+    let cycles: u64 = phases.iter().map(|(c, _)| c).sum();
+    assert_eq!(cycles, report.total_cycles, "{summary}");
+    // Each share is printed to 0.1%, so the sum can be off by half a
+    // tenth per row.
+    let shares: f64 = phases.iter().map(|(_, s)| s).sum();
+    let rounding = 0.05 * phases.len() as f64;
+    assert!((shares - 100.0).abs() <= rounding + 1e-9, "shares sum to {shares}:\n{summary}");
+    // Both chips' walk lanes are summarized, in their own process.
+    assert!(!summary_rows(&summary, "chips/chip0").is_empty(), "{summary}");
+    assert!(!summary_rows(&summary, "chips/chip1").is_empty(), "{summary}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
